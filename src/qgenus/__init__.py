@@ -7,7 +7,8 @@ dimensional formal group laws, companion float asymptotics, and a big-Witt
 from .analytic import (FloatEval, epsilon_inverse, epsilon_law, epsilon_num,
                        infinity_law, ml_asymptotic, ml_exp, psi,
                        psi_hom_check, sin_half)
-from .errors import DomainError, IncompatibleOperands, TruncationError
+from .errors import (DomainError, IncompatibleOperands, InvariantError,
+                     TruncationError)
 from .grouplaw import (GroupLaw, genus_exponential, projective_image,
                        scalar_exponential, to_q_over_q1,
                        universal_exponential)
@@ -32,7 +33,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CycloRational", "DomainError", "FloatEval", "FockPoly", "GhostVector",
-    "GroupLaw", "IncompatibleOperands", "IntersectionTable", "LatticeData",
+    "GroupLaw", "IncompatibleOperands", "IntersectionTable", "InvariantError",
+    "LatticeData",
     "QElement", "QTensor", "SparsePoly", "Sqrt2", "TruncatedSeries",
     "TruncationError", "Universe", "UPS", "UQ", "UT", "UX", "WittVector",
     "Y_multiplicativity_check", "alpha_apply", "annihilation_check",

@@ -15,3 +15,9 @@ class IncompatibleOperands(ValueError):
 
 class TruncationError(RuntimeError):
     """A result would not be exact on the requested truncation window."""
+
+
+class InvariantError(RuntimeError):
+    """A result broke an identity the mathematics guarantees, such as the
+    integrality of a Witt product of integral vectors: a library defect,
+    not bad input.  Raised rather than asserted, so it holds under -O."""

@@ -26,6 +26,7 @@ k >= (p+1)/2 (the double factorial (2k-1)!! then contains the factor p).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Any
 
@@ -58,11 +59,22 @@ class GroupLaw:
     def order(self) -> int:
         return self.exponential.order
 
-    def logarithm(self) -> TruncatedSeries:
+    @cached_property
+    def _logarithm(self) -> TruncatedSeries:
         return self.exponential.reversion()
 
+    @cached_property
+    def _law(self) -> TruncatedSeries:
+        return self.law()
+
+    def logarithm(self) -> TruncatedSeries:
+        """l = e^{-1}, reverted once per law and shared by every caller."""
+        return self._logarithm
+
     def law(self) -> TruncatedSeries:
-        """F(X, Y) = e(l(X) + l(Y)) through the exponential's order."""
+        """F(X, Y) = e(l(X) + l(Y)) through the exponential's order.
+
+        Builds F on each call; the axiom residuals share one build."""
         n = self.order
         l = self.logarithm()
         lx = l.substitute({l.vars[0]: TruncatedSeries.variable(XY, "X", n)})
@@ -76,7 +88,7 @@ class GroupLaw:
     def associativity_residual(self) -> TruncatedSeries:
         """F(F(X,Y),Z) - F(X,F(Y,Z)); identically 0 through the window for
         a genuine law (the check is symbolic, not numeric)."""
-        F = self.law()
+        F = self._law
         x = TruncatedSeries.variable(XYZ, "X", F.order)
         y = TruncatedSeries.variable(XYZ, "Y", F.order)
         z = TruncatedSeries.variable(XYZ, "Z", F.order)
@@ -87,20 +99,20 @@ class GroupLaw:
         return left - right
 
     def commutativity_residual(self) -> TruncatedSeries:
-        F = self.law()
+        F = self._law
         x = TruncatedSeries.variable(XY, "X", F.order)
         y = TruncatedSeries.variable(XY, "Y", F.order)
         return F - F.substitute({"X": y, "Y": x})
 
     def unit_residuals(self) -> TruncatedSeries:
         """F(X, 0) - X pulled back to one variable."""
-        F = self.law()
+        F = self._law
         t = TruncatedSeries.variable(("T",), "T", F.order)
         return F.substitute({"X": t, "Y": TruncatedSeries.zero(("T",), F.order)}) - t
 
     def inverse_residual(self) -> TruncatedSeries:
         """F(T, [-1](T)), which must vanish."""
-        F = self.law()
+        F = self._law
         t = TruncatedSeries.variable(("T",), "T", F.order)
         return F.substitute({"X": t, "Y": self.inverse_series()})
 

@@ -63,14 +63,10 @@ def coeff_is_integral(c) -> bool:
 
 def coeff_inv(c):
     """Multiplicative inverse of a scalar, in its own ring."""
-    if isinstance(c, int):
+    if isinstance(c, (int, Fraction)):
         if c == 0:
             raise DomainError("division by zero")
-        return Fraction(1, c)
-    if isinstance(c, Fraction):
-        if c == 0:
-            raise DomainError("division by zero")
-        return 1 / c
+        return int(c) if c in (1, -1) else 1 / Fraction(c)
     if isinstance(c, (Sqrt2, CycloRational)):
         return c.inv()
     raise DomainError(f"cannot invert scalar of type {type(c).__name__}")
@@ -140,7 +136,8 @@ class Sqrt2:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
-        return hash((self.a, self.b, "sqrt2"))
+        # equal to a rational exactly when b == 0: hash like that rational
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, "sqrt2"))
 
     @property
     def is_rational(self) -> bool:
@@ -327,6 +324,10 @@ class CycloRational:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # 1, t, ..., t^(p-2) is a basis over Q, so the value is rational
+        # exactly when only the first coordinate is nonzero
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.p, self.coeffs))
 
     def __repr__(self):
@@ -344,6 +345,10 @@ class CycloRational:
         return " + ".join(bits).replace("+ -", "- ")
 
 
+def _never_nilpotent(key: Key) -> None:
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class Universe:
     """A named family of polynomial generators.
@@ -358,7 +363,13 @@ class Universe:
     fmt: Callable[[Key], str]
     weight: Callable[[Key], int]
     is_invertible: Callable[[Key], bool] = field(default=lambda k: False)
-    nilpotency: Callable[[Key], int | None] = field(default=lambda k: None)
+    nilpotency: Callable[[Key], int | None] = field(default=_never_nilpotent)
+
+    @property
+    def has_nilpotents(self) -> bool:
+        """False when no generator can be nilpotent, so products need no
+        nilpotency test; any ``nilpotency`` other than the default counts."""
+        return self.nilpotency is not _never_nilpotent
 
     def __eq__(self, other):
         return isinstance(other, Universe) and self.name == other.name
@@ -412,8 +423,39 @@ def symbol_universe(name: str, gens: Iterable[str], *, weight: int = 1,
         fmt=lambda k: str(k),
         weight=check_weight,
         is_invertible=lambda k: k in inv,
-        nilpotency=lambda k: nilpotent_order,
+        nilpotency=(_never_nilpotent if nilpotent_order is None
+                    else lambda k: nilpotent_order),
     )
+
+
+def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
+    """Product of two canonical monomials, itself canonical."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        k1, e1 = m1[i]
+        k2, e2 = m2[j]
+        if k1 < k2:
+            out.append(m1[i])
+            i += 1
+        elif k2 < k1:
+            out.append(m2[j])
+            j += 1
+        else:
+            if e1 + e2:
+                out.append((k1, e1 + e2))
+            i += 1
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def _coeff_str(c, *, lead: bool) -> str:
@@ -443,6 +485,17 @@ class SparsePoly:
                 self._accumulate(mono, c)
 
     # -- construction ----------------------------------------------------
+    @classmethod
+    def _canonical(cls, universe: Universe,
+                   terms: dict[Monomial, Any]) -> "SparsePoly":
+        """Adopt ``terms`` without checks.  Only for terms built from other
+        polynomials of ``universe``: canonical monomials with valid keys,
+        legal exponents and no dead powers, and nonzero coefficients."""
+        out = cls.__new__(cls)
+        out.universe = universe
+        out.terms = terms
+        return out
+
     @classmethod
     def zero(cls, universe: Universe) -> "SparsePoly":
         return cls(universe)
@@ -502,15 +555,24 @@ class SparsePoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = SparsePoly(self.universe, self.terms)
+        terms = dict(self.terms)
         for mono, c in o.terms.items():
-            out._accumulate(mono, c)
-        return out
+            acc = terms.get(mono)
+            if acc is None:
+                terms[mono] = c
+            else:
+                total = acc + c
+                if total:
+                    terms[mono] = total
+                else:
+                    del terms[mono]
+        return SparsePoly._canonical(self.universe, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.universe, {m: -c for m, c in self.terms.items()})
+        return SparsePoly._canonical(
+            self.universe, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -525,11 +587,29 @@ class SparsePoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = SparsePoly(self.universe)
+        uni = self.universe
+        nil = uni.nilpotency if uni.has_nilpotents else None
+        terms: dict[Monomial, Any] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
-                out._accumulate(m1 + m2, c1 * c2)
-        return out
+                mono = _merge_monomials(m1, m2)
+                if nil is not None and any(
+                        (n := nil(k)) is not None and e >= n for k, e in mono):
+                    continue  # a dead power kills the term
+                c = c1 * c2
+                acc = terms.get(mono)
+                if acc is None:
+                    terms[mono] = c
+                else:
+                    total = acc + c
+                    if total:
+                        terms[mono] = total
+                    else:
+                        del terms[mono]
+        for mono, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
+                terms[mono] = c.numerator
+        return SparsePoly._canonical(uni, terms)
 
     __rmul__ = __mul__
 
@@ -579,11 +659,11 @@ class SparsePoly:
 
     def weight_truncate(self, wmax: int) -> "SparsePoly":
         """Drop every term of weight strictly above wmax."""
-        return SparsePoly(self.universe, {
+        return SparsePoly._canonical(self.universe, {
             m: c for m, c in self.terms.items() if self.monomial_weight(m) <= wmax})
 
     def weight_component(self, w: int) -> "SparsePoly":
-        return SparsePoly(self.universe, {
+        return SparsePoly._canonical(self.universe, {
             m: c for m, c in self.terms.items() if self.monomial_weight(m) == w})
 
     def constant_term(self):

@@ -281,7 +281,12 @@ class TruncatedSeries:
         return TruncatedSeries(self.vars, out, n, 0)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner) for univariate self, inner with valuation >= 1."""
+        """self(inner) for univariate self, inner with valuation >= 1.
+
+        Horner's rule, started at the result window
+        ``min(self.order, inner.order)``: since inner has valuation >= 1,
+        a term T^n of self above that window lands beyond it.
+        """
         if len(self.vars) != 1:
             raise DomainError("compose: outer series must be univariate")
         if self.low < 0:
@@ -291,7 +296,7 @@ class TruncatedSeries:
         order = min(self.order, inner.order)
         g = inner if inner.order == order else inner.truncate(order)
         acc = TruncatedSeries.zero(g.vars, order)
-        for n in range(self.order, -1, -1):
+        for n in range(order, -1, -1):
             acc = acc * g
             c = self.coeffs.get((n,))
             if c is not None:
@@ -421,21 +426,30 @@ class TruncatedSeries:
         return TruncatedSeries(self.vars, {(k,): c for k, c in enumerate(b) if c}, n)
 
     def reversion(self) -> "TruncatedSeries":
-        """Compositional inverse of a univariate series T*(unit)."""
+        """Compositional inverse of a univariate series T*(unit).
+
+        Newton iteration g <- g - (f(g) - T) / f'(g), starting from
+        g = T / a1: a g exact through degree m comes out exact through
+        2m + 1, so order n takes about log2(n) steps of two composes each.
+        f(g) - T vanishes through degree m, so f'(g) is composed only
+        through degree m' - m - 1 of the new window m'.
+        """
         if len(self.vars) != 1:
             raise DomainError("reversion: univariate only")
         if self.low < 0 or self.coeffs.get((0,)) or not self.coeffs.get((1,)):
             raise DomainError("reversion needs form a1*T + ..., a1 a unit")
-        a1i = _invert_coeff(self.coeffs[(1,)])
         n = self.order
-        b: dict[ExpVec, Any] = {(1,): a1i}
-        for m in range(2, n + 1):
-            partial = TruncatedSeries(self.vars, b, m)
-            val = self.compose(partial)
-            c = val.coeffs.get((m,), 0)
-            if c:
-                b[(m,)] = (-1) * (a1i * c)
-        return TruncatedSeries(self.vars, b, n)
+        g = {(1,): _invert_coeff(self.coeffs[(1,)])}
+        df = self.derivative()
+        m = 1
+        while m < n:
+            prev, m = m, min(2 * m + 1, n)
+            gm = TruncatedSeries(self.vars, g, m)
+            t = TruncatedSeries.variable(self.vars, self.vars[0], m)
+            slope = df.compose(gm.truncate(m - prev - 1))
+            step = (self.compose(gm) - t) * slope.inverse()
+            g = (gm - step).coeffs
+        return TruncatedSeries(self.vars, g, n)
 
     # -- display ------------------------------------------------------------
     def map_coeffs(self, f: Callable[[Any], Any]) -> "TruncatedSeries":

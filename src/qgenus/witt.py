@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .errors import DomainError, IncompatibleOperands
+from .errors import DomainError, IncompatibleOperands, InvariantError
 from .rings import (
     CycloRational,
     SparsePoly,
@@ -240,9 +240,9 @@ def power_sums(h: WittVector, upto: int | None = None) -> list:
 def witt_mul(a: WittVector, b: WittVector) -> WittVector:
     """The second operation: componentwise on ghosts, pulled back.
 
-    When both inputs have integral coefficients, the output is asserted to
-    as well (the operation is defined over the integers even though the
-    pullback passes through denominators).
+    When both inputs have integral coefficients, the output must be
+    integral too (the operation is defined over the integers even though
+    the pullback passes through denominators); InvariantError otherwise.
     """
     order = _same_order(a, b)
     ga = ghost(a)
@@ -250,7 +250,8 @@ def witt_mul(a: WittVector, b: WittVector) -> WittVector:
     prod = GhostVector(tuple(x * y for x, y in zip(ga.components, gb.components)))
     out = ghost_inverse(prod, order)
     if a.is_integral() and b.is_integral():
-        assert out.is_integral(), "product of integral vectors went fractional"
+        if not out.is_integral():
+            raise InvariantError("product of integral vectors went fractional")
     return out
 
 

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qgenus.errors import DomainError
-from qgenus.rings import (CycloRational, SparsePoly, Sqrt2, UQ, UX,
-                          dfact_odd, double_factorial, symbol_universe)
+from qgenus.grouplaw import universal_exponential
+from qgenus.rings import (CycloRational, SparsePoly, Sqrt2, UPS, UQ, UT, UX,
+                          coeff_inv, dfact_odd, double_factorial,
+                          symbol_universe)
 from qgenus.series import TruncatedSeries, lagrange_reversion_coefficient
+from qgenus.witt import SD
 
 F = Fraction
 
@@ -79,6 +82,34 @@ def test_cyclotomic_is_exact_field():
         CycloRational.root(4)
 
 
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+def exact_scalars(p):
+    """int, Fraction, Sqrt2 and Q(zeta_p) values, a third of the extension
+    values irrational, over few enough values that equal pairs are common."""
+    irr = st.sampled_from([0, 0, 1])
+    return st.one_of(
+        small_rationals.map(lambda r: int(r) if r.denominator == 1 else r),
+        small_rationals,
+        st.builds(Sqrt2, small_rationals, irr),
+        st.builds(lambda a, b: CycloRational.from_scalar(p, a)
+                  + b * CycloRational.root(p), small_rationals, irr))
+
+
+@given(st.data())
+def test_equal_scalars_hash_equal(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    x, y = data.draw(exact_scalars(p)), data.draw(exact_scalars(p))
+    if x == y:
+        assert hash(x) == hash(y)
+    r = data.draw(small_rationals)
+    for v in (Sqrt2(r), CycloRational.from_scalar(p, r)):
+        assert v == r and hash(v) == hash(r)
+    assert len({Sqrt2(1), 1, F(1)}) == 1
+    assert len({CycloRational.from_scalar(p, 1), 1, F(1)}) == 1
+
+
 # ---------------------------------------------------------- sparse polys
 
 def test_sparse_poly_basics():
@@ -131,6 +162,75 @@ def test_poly_repr_is_weight_sorted():
     x0, x1 = SparsePoly.gen(UX, 0), SparsePoly.gen(UX, 1)
     assert repr(-2 * x0.inv() * x1) == "-2*x0^-1*x1"
     assert repr(x1 + x0 ** 2 - 1) == "-1 + x0^2 + x1"
+
+
+def test_outside_input_is_still_validated():
+    with pytest.raises(DomainError):
+        SparsePoly(UX, {((1, -1),): 1})  # x1 is not invertible
+    with pytest.raises(DomainError):
+        SparsePoly(UX, {(("a", 1),): 1})  # not an x-generator
+    U = symbol_universe("nil3", ["s"], nilpotent_order=3)
+    assert SparsePoly(U, {(("s", 3),): 1}) == 0
+    assert U.has_nilpotents
+    assert not any(u.has_nilpotents for u in (UX, UQ, UT, UPS, SD))
+
+
+def test_product_on_nilpotent_universe_drops_dead_terms():
+    U = symbol_universe("nil3su", ["s", "u"], nilpotent_order=3)
+    s, u = SparsePoly.gen(U, "s"), SparsePoly.gen(U, "u")
+    p = (s ** 2 + u) * (s + u ** 2)
+    assert p == s * u + s ** 2 * u ** 2
+    assert set(p.terms) == {(("s", 1), ("u", 1)), (("s", 2), ("u", 2))}
+
+
+def test_unit_times_inverse_is_constant_one():
+    x0 = SparsePoly.gen(UX, 0)
+    one = x0.inv() * x0
+    assert one.terms == {(): 1} and repr(one) == "1"
+    assert type(coeff_inv(1)) is int and coeff_inv(F(-1)) == -1
+    assert type(coeff_inv(F(-1))) is int and coeff_inv(2) == F(1, 2)
+
+
+def test_integer_valued_fraction_product_matches_validated_result():
+    x1, x2 = SparsePoly.gen(UX, 1), SparsePoly.gen(UX, 2)
+    got = (F(1, 2) * x1) * (F(4, 3) * x2 + F(3, 2) * x1)
+    want = SparsePoly(UX, {((1, 1), (2, 1)): F(2, 3), ((1, 2),): F(3, 4)})
+    assert got == want and repr(got) == repr(want)
+    got = (F(3, 2) * x1) * (F(2, 3) * x2)
+    want = SparsePoly(UX, {((1, 1), (2, 1)): F(1)})
+    assert got == want and repr(got) == repr(want) == "x1*x2"
+    assert type(got.terms[((1, 1), (2, 1))]) is int
+
+
+def _reference_product(p: SparsePoly, q: SparsePoly) -> SparsePoly:
+    """Every pair of terms through the validating constructor: concatenated
+    monomials, re-merged and re-checked, with no trusted shortcut."""
+    out = SparsePoly.zero(p.universe)
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            out = out + SparsePoly(p.universe, {m1 + m2: c1 * c2})
+    return out
+
+
+def x_polys():
+    """Polynomials in x0^±1, x1, x2, x3 with small rational coefficients."""
+    mono = st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(0, 2),
+                     st.integers(0, 1)).map(
+        lambda es: tuple((k, e) for k, e in enumerate(es) if e))
+    return st.dictionaries(mono, small_rationals, max_size=5).map(
+        lambda d: SparsePoly(UX, d))
+
+
+@given(x_polys(), x_polys(), st.sampled_from([None, 2, 3]))
+def test_merge_product_matches_reference(p, q, nil):
+    assert p * q == _reference_product(p, q)
+    assert p + q - q == p and -(-p) == p
+    if nil is not None:
+        U = symbol_universe(f"nilx{nil}", [0, 1, 2, 3], nilpotent_order=nil)
+        pn, qn = (SparsePoly(U, {m: c for m, c in r.terms.items()
+                                  if all(e > 0 for _, e in m)})
+                  for r in (p, q))
+        assert pn * qn == _reference_product(pn, qn)
 
 
 # ------------------------------------------------------------- series core
@@ -196,13 +296,47 @@ def test_exp_log_roundtrip(d):
     assert (a + a).exp().agrees_with(e * e)
 
 
-@given(st.dictionaries(st.integers(2, 6), rationals, max_size=4),
+@given(st.integers(1, 20), st.dictionaries(st.integers(2, 20), rationals, max_size=6),
        st.sampled_from([1, -1, F(1, 2), 3]))
-def test_reversion_vs_lagrange_oracle(tail, lead):
-    f = ts({1: lead, **tail}, 6)
+def test_reversion_vs_lagrange_oracle(order, tail, lead):
+    f = ts({1: lead, **tail}, order)
     g = f.reversion()
-    for n in range(1, 7):
+    assert g.order == order
+    for n in range(1, order + 1):
         assert g.coefficient(n) == lagrange_reversion_coefficient(f, n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_universal_reversion_vs_lagrange_oracle(n):
+    e = universal_exponential(n).exponential
+    g = e.reversion()
+    assert g.order == n
+    for k in range(1, n + 1):
+        assert g.coefficient(k) == lagrange_reversion_coefficient(e, k)
+
+
+def _compose_full_horner(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """f(g) by Horner's rule over every coefficient of f, window min(f, g)."""
+    order = min(f.order, g.order)
+    acc = TruncatedSeries.zero(g.vars, order)
+    for n in range(f.order, -1, -1):
+        acc = (acc * g).truncate(order) + TruncatedSeries.constant(
+            g.vars, f.coeffs.get((n,), 0), order)
+    return acc
+
+
+@given(st.integers(2, 12), st.data())
+def test_compose_above_inner_window_matches_full_horner(outer_order, data):
+    inner_order = data.draw(st.integers(1, outer_order - 1))
+    f = ts(data.draw(st.dictionaries(st.integers(0, outer_order), rationals,
+                                     max_size=6)), outer_order)
+    g = ts(data.draw(st.dictionaries(st.integers(1, inner_order), rationals,
+                                     min_size=1, max_size=4)), inner_order)
+    assert f.compose(g) == _compose_full_horner(f, g)
+    XY = ("X", "Y")
+    gxy = (TruncatedSeries.variable(XY, "X", inner_order) * g.coefficient(1)
+           + TruncatedSeries.variable(XY, "Y", inner_order) ** 2)
+    assert f.compose(gxy) == _compose_full_horner(f, gxy)
 
 
 def test_laurent_inverse_window():

@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qgenus.errors import DomainError, IncompatibleOperands
+from qgenus import witt
+from qgenus.errors import DomainError, IncompatibleOperands, InvariantError
 from qgenus.qfunctions import QElement, q_in_x
 from qgenus.rings import CycloRational, SparsePoly, UPS, UX, symbol_universe
 from qgenus.series import TruncatedSeries
@@ -162,6 +163,14 @@ class TestRingAxioms:
             h = rand_witt(rng, 8, integral=True)
             g = rand_witt(rng, 8, integral=True)
             assert witt_mul(h, g).is_integral()
+
+    def test_integrality_guard_raises(self, monkeypatch):
+        # a raised error, not an assert, so the guard survives python -O
+        fractional = WittVector.from_coeffs({1: Fraction(1, 2)}, 4)
+        monkeypatch.setattr(witt, "ghost_inverse", lambda g, order=None: fractional)
+        h = WittVector.from_coeffs({1: 1, 2: -3}, 4)
+        with pytest.raises(InvariantError, match="went fractional"):
+            witt_mul(h, h)
 
 
 # ---------------------------------------------------------------------------
