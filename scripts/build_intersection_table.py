@@ -1,48 +1,22 @@
 #!/usr/bin/env python3
-"""Build (or extend) the intersection-number table and spot-audit it.
+"""Build (or extend) the intersection-number table and audit it.
 
-Fills the closed recursion degree by degree, persists the versioned JSON
-cache atomically, and cross-checks every genus-0 entry against the
-closed form (n-3)!/prod(d_j!) plus a sample of string-equation
-transports.  Run from the repository root:
+Reads the CLI's cache (a cache that fails the audit is regenerated with a
+warning), fills the closed recursion degree by degree, persists the
+versioned JSON cache atomically, and with --check audits the result
+against the genus-0 closed form and the string and dilaton equations.
+Run from the repository root:
 
     python3 scripts/build_intersection_table.py --degree 5 --check
 """
 
 import argparse
-import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
-from qgenus.virasoro import (IntersectionTable, genus_of,
-                             genus_zero_closed_form, index_stats,
-                             string_oracle)
-
-
-def default_cache() -> Path:
-    root = os.environ.get("QGENUS_CACHE_DIR")
-    base = Path(root).expanduser() if root else Path.home() / ".cache" / "qgenus"
-    return base / "intersection.json"
-
-
-def load(path: Path) -> IntersectionTable:
-    if path.exists():
-        try:
-            return IntersectionTable.loads(path.read_text())
-        except Exception as e:  # corrupt, stale format, whatever: rebuild
-            print(f"warning: ignoring unusable cache {path}: {e}",
-                  file=sys.stderr)
-    return IntersectionTable()
-
-
-def save(path: Path, table: IntersectionTable) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
-    with os.fdopen(fd, "w") as fh:
-        fh.write(table.dumps())
-    os.replace(tmp, path)
+from qgenus.virasoro import (default_cache_path, index_stats, load_table,
+                             save_table, table_audit)
 
 
 def main() -> int:
@@ -52,18 +26,17 @@ def main() -> int:
     ap.add_argument("--cache", type=Path, default=None,
                     help="cache file (default: the CLI's cache location)")
     ap.add_argument("--check", action="store_true",
-                    help="re-derive genus-0 entries from the closed form "
-                         "and run string-equation transports")
+                    help="audit every entry of the finished table")
     args = ap.parse_args()
     if not 0 <= args.degree <= 8:
         ap.error("--degree outside the desk-scale window [0, 8]")
 
-    path = args.cache or default_cache()
-    table = load(path)
+    path = args.cache or default_cache_path()
+    table = load_table(path)
     t0 = time.perf_counter()
     table.build_through(args.degree)
     dt = time.perf_counter() - t0
-    save(path, table)
+    save_table(path, table)
 
     by_degree: dict[int, int] = {}
     for K, _ in table.entries():
@@ -77,32 +50,13 @@ def main() -> int:
 
     if not args.check:
         return 0
-
-    bad = 0
-    genus0 = 0
-    for K, v in sorted(table.entries()):
-        if genus_of(K) == 0:
-            genus0 += 1
-            want = genus_zero_closed_form(K)
-            if v != want:
-                bad += 1
-                print(f"MISMATCH {K}: recursion {v} vs closed form {want}")
-    print(f"genus-0 closed form: {genus0} entries checked, "
-          f"{bad} mismatches")
-
-    transports = 0
-    for K, got in sorted(table.entries()):
-        if K and K[0] >= 1 and K != (3,):
-            want = string_oracle(table, K)
-            transports += 1
-            if got != want:
-                bad += 1
-                print(f"STRING MISMATCH {K}: {got} vs {want}")
-    print(f"string-equation transports: {transports} checked")
-    if bad:
-        print(f"{bad} inconsistencies found", file=sys.stderr)
+    faults = table_audit(table)
+    for fault in faults:
+        print(f"MISMATCH {fault}")
+    if faults:
+        print(f"{len(faults)} inconsistencies found", file=sys.stderr)
         return 1
-    print("all audits clean")
+    print(f"all audits clean ({len(table.values)} entries)")
     return 0
 
 

@@ -299,6 +299,8 @@ def ml_asymptotic(alpha, z, n_terms: int | None = None) -> FloatEval:
     :func:`asymptotic_tail`, scaled to half-width alpha*pi/2.  The error
     field is the coarse first-omitted-term magnitude (the gamma reflections
     make term ratios irregular, so no tail summation is attempted here).
+    Terms whose power of z or Gamma value leaves the double range are
+    formed in log space, so optimal truncation works at any |z|.
     """
     af = Fraction(alpha)
     if not 0 < af < 2:
@@ -320,7 +322,19 @@ def ml_asymptotic(alpha, z, n_terms: int | None = None) -> FloatEval:
         if e.denominator == 1 and e <= 0:
             term = 0.0 + 0.0j       # pole of Gamma: the term drops out
         else:
-            term = -(zc ** -n) / math.gamma(float(e))
+            power = zc ** -n
+            gamma = math.gamma(float(e))
+            if power and gamma:
+                term = -power / gamma
+            else:
+                # z^-n or Gamma left the double range: go through logs
+                size = math.exp(-n * math.log(abs(zc)) - math.lgamma(float(e)))
+                if not size:        # past the double range: nothing left
+                    omitted = 0.0
+                    break
+                if e < 0 and math.floor(e) % 2:
+                    size = -size    # Gamma is negative here
+                term = -size * cmath.exp(complex(0.0, -n * cmath.phase(zc)))
         mag = abs(term)
         if mag > 0.0:
             if n_terms is None and last_mag is not None and mag >= last_mag:
@@ -410,7 +424,9 @@ def epsilon_inverse(y: float, tol: float = 1e-12) -> FloatEval:
     """Solve eps(x) = y for the unique real x (eps is a decreasing bijection
     from the reals onto the positive reals with eps(0) = 1).
 
-    Bisection, seeded by the leading 1/x asymptotics when y is small.
+    Bisection, seeded by the leading 1/x asymptotics when y is small.  The
+    error field is the final bracket half-width plus eps's own reported
+    error at the root divided by |eps'|.
     """
     yf = float(y)
     if yf <= 0.0 or not math.isfinite(yf):
@@ -441,8 +457,13 @@ def epsilon_inverse(y: float, tol: float = 1e-12) -> FloatEval:
             hi = mid
         steps += 1
     mid = 0.5 * (lo + hi)
-    return FloatEval(mid, (hi - lo) / 2.0 + tol * max(1.0, abs(mid)),
-                     "bisection", steps)
+    # eps's own error moves the root by about eps.error / |eps'(x)|, with
+    # eps' from 2x eps'(x) = 1 - (1 + x) eps(x) (eps'(0) = -1/3)
+    at = epsilon_num(mid)
+    slope = (-1.0 / 3.0 if abs(mid) < 1e-6
+             else (1.0 - (1.0 + mid) * at.value) / (2.0 * mid))
+    err = (hi - lo) / 2.0 + tol * max(1.0, abs(mid)) + at.error / abs(slope)
+    return FloatEval(mid, err, "bisection", steps)
 
 
 # ---------------------------------------------------------------------------

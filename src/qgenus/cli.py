@@ -30,10 +30,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import re
 import sys
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -47,8 +45,9 @@ from .qfunctions import QElement, classical_q, inner, is_strict, x_in_q
 from .rings import SparsePoly, UPS, UX, dfact_odd
 from .series import TruncatedSeries
 from .virasoro import (FockPoly, IntersectionTable, correlator_weight,
-                       genus_of, index_stats, l_bracket_residual,
-                       required_degree)
+                       default_cache_path, genus_of, index_stats,
+                       l_bracket_residual, load_table, required_degree,
+                       save_table)
 from .witt import (LatticeFockElement, WittVector, Y_multiplicativity_check,
                    closure_report, ghost, hl_q_gen, lattice_action_obj,
                    lattice_from_json, lattice_grading_audit, lattice_universe,
@@ -502,34 +501,14 @@ def inner_cmd(obj, left, right):
 # intersection table and Virasoro bracket
 # ---------------------------------------------------------------------------
 
-def _default_cache_path() -> Path:
-    root = os.environ.get("QGENUS_CACHE_DIR")
-    base = Path(root).expanduser() if root else Path.home() / ".cache" / "qgenus"
-    return base / "intersection.json"
-
-
+# The cache lives in virasoro; these names are the CLI's timing points for
+# cache reads and writes (perfbench/spans.py wraps them).
 def _load_table(path: Path) -> IntersectionTable:
-    if path.exists():
-        try:
-            return IntersectionTable.loads(path.read_text())
-        except (ValueError, KeyError, TypeError, DomainError) as e:
-            click.echo(f"warning: cache {path} is unusable ({e}); "
-                       "regenerating", err=True)
-    return IntersectionTable()
+    return load_table(path)
 
 
 def _save_table(path: Path, table: IntersectionTable) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name,
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(table.dumps())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    save_table(path, table)
 
 
 def _tau_label(K: tuple[int, ...]) -> str:
@@ -548,12 +527,13 @@ def _tau_label(K: tuple[int, ...]) -> str:
 def intersection(obj, max_weight, no_cache):
     """Closed intersection-number table, built by the annihilation
     recursion and persisted to a versioned JSON cache (atomic writes; a
-    corrupt or mismatched cache is regenerated with a warning)."""
+    corrupt, mismatched or wrong-valued cache is regenerated with a
+    warning)."""
     cfg = _config(obj, "intersection", orders=(max_weight,))
     _require(0 <= max_weight <= _MAX_TABLE_WEIGHT,
              f"--max-weight is capped at {_MAX_TABLE_WEIGHT} (desk scale)")
     need = required_degree(max_weight)
-    path = cfg.cache_path or _default_cache_path()
+    path = cfg.cache_path or default_cache_path()
     table = IntersectionTable() if no_cache else _load_table(path)
     if table.complete_through < need:
         table.build_through(need)

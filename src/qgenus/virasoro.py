@@ -34,9 +34,13 @@ equations in the t-coordinates t_k = -(2k-1)!! x_k.
 from __future__ import annotations
 
 import json
+import os
+import sys
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import DomainError, IncompatibleOperands, TruncationError
@@ -224,7 +228,6 @@ class IntersectionTable:
 
     def __init__(self):
         self.values: dict[MultiIndex, Fraction] = {}
-        self.method: dict[MultiIndex, str] = {}
         self.complete_through = -1
 
     # -- lookups -----------------------------------------------------------
@@ -265,45 +268,69 @@ class IntersectionTable:
         return self
 
     def _constraint_value(self, T: MultiIndex) -> Fraction:
-        d = max((i for i, c in enumerate(T) if c and i >= 1), default=0)
-        if d == 0:
-            nc = -1
-            base = _bump(T, 0, -1)
-        else:
-            nc = d - 1
-            base = _bump(T, d, -1)
-        self.method[T] = f"constraint nc={nc}"
-        total = Fraction(0)
+        # Every index looked up below is a valid entry of degree below T's
+        # (the dimension filter on the splittings guarantees it), so a
+        # missing key can only mean an unbuilt entry.
+        try:
+            return self._constraint_sum(T)
+        except KeyError as e:
+            raise TruncationError(
+                f"table incomplete: entry {e.args[0]} not built yet") from None
+
+    def _constraint_sum(self, T: MultiIndex) -> Fraction:
+        values = self.values
+        d = len(T) - 1
+        nc = d - 1 if d else -1
+        base = list(T)
+        base[d] -= 1
+        base = _strip(base)
+        n, s = index_stats(T)
+        g3 = s - n + 3                  # 3 * genus
+        # The sum is kept as integer numerators, one per denominator, so
+        # only a handful of Fractions are built per entry.
+        acc: dict[int, int] = {}
         # transport sum: one insertion moves up by nc
         for m, cnt in enumerate(base):
             if cnt and m + nc >= 0:
-                child = _bump(_bump(base, m, -1), m + nc)
-                total += (cnt
-                          * Fraction(double_factorial(2 * (m + nc) + 1),
-                                     double_factorial(2 * m - 1))
-                          * self._v(child))
-        # quadratic part: connected + all disconnected splittings
-        for j in range(max(nc, 0)):
+                child = list(base) + [0] * (m + nc + 1 - len(base))
+                child[m] -= 1
+                child[m + nc] += 1
+                v = values[_strip(child)]
+                den = double_factorial(2 * m - 1) * v.denominator
+                acc[den] = (acc.get(den, 0) + cnt * v.numerator
+                            * double_factorial(2 * (m + nc) + 1))
+        # quadratic part: connected + all disconnected splittings, weighted
+        # by (2j+1)!! (2jp+1)!! / 2.  The summand is symmetric under
+        # (A, j) <-> (B, jp), so each j < jp pair is summed once, doubled.
+        j_top = (nc - 1) // 2
+        splits = _splittings(base, -j_top, g3) if nc > 0 else ((), (), ())
+        for j in range(j_top + 1):
             jp = nc - 1 - j
-            w = Fraction(double_factorial(2 * j + 1)
-                         * double_factorial(2 * jp + 1), 2)
-            contrib = self._v(_bump(_bump(base, j), jp))
-            for A in _splittings(base):
-                B = tuple(b - a for a, b in zip(A, base))
-                mult = 1
-                for a, b in zip(A, base):
-                    mult *= comb(b, a)
-                va = self._v(_bump(A, j))
-                if va:
-                    vb = self._v(_bump(canon_index(B), jp))
-                    if vb:
-                        contrib += mult * va * vb
-            total += w * contrib
+            w = double_factorial(2 * j + 1) * double_factorial(2 * jp + 1)
+            half = 1 if j < jp else 2
+            if g3:
+                conn = list(base) + [0] * (jp + 1 - len(base))
+                conn[j] += 1
+                conn[jp] += 1
+                v = values[_strip(conn)]
+                den = half * v.denominator
+                acc[den] = acc.get(den, 0) + w * v.numerator
+            # A + e_j is an entry iff t_A + j is a non-negative multiple of
+            # 3, and then B + e_jp is one iff t_A + j <= 3g
+            for A, B, mult, t in splits[-j % 3]:
+                if 0 <= t + j <= g3:
+                    a = values[_plus(A, j)]
+                    b = values[_plus(B, jp)]
+                    den = half * a.denominator * b.denominator
+                    acc[den] = (acc.get(den, 0)
+                                + w * mult * a.numerator * b.numerator)
         # boundary contributions carried by the lowest two constraints
         if nc == -1 and base == (2,):
-            total += 1
+            acc[1] = acc.get(1, 0) + 1
         if nc == 0 and base == ():
-            total += Fraction(1, 8)
+            acc[8] = acc.get(8, 0) + 1
+        total = sum((Fraction(num, den) for den, num in acc.items()),
+                    Fraction(0))
         return total / double_factorial(2 * nc + 3)
 
     # -- serialization -------------------------------------------------------
@@ -326,7 +353,6 @@ class IntersectionTable:
         for key, val in obj["entries"].items():
             K = canon_index(int(c) for c in key.split(",")) if key else ()
             out.values[K] = Fraction(val)
-            out.method[K] = "loaded"
         return out
 
     def dumps(self) -> str:
@@ -370,14 +396,44 @@ def _partitions_at_most(s: int, n_parts: int):
     yield from rec(s, s, n_parts)
 
 
-def _splittings(K: MultiIndex):
-    """All componentwise splittings A <= K."""
-    if not K:
-        yield ()
-        return
-    for head in range(K[0] + 1):
-        for tail in _splittings(K[1:]):
-            yield (head,) + tail
+def _strip(K) -> MultiIndex:
+    """The key of a padded count list: trailing zeros dropped."""
+    n = len(K)
+    while n and not K[n - 1]:
+        n -= 1
+    return tuple(K[:n])
+
+
+def _plus(K: MultiIndex, j: int) -> MultiIndex:
+    """K + e_j for a key K (no validation)."""
+    if j < len(K):
+        return K[:j] + (K[j] + 1,) + K[j + 1:]
+    return K + (0,) * (j - len(K)) + (1,)
+
+
+def _splittings(K: MultiIndex, lo: int, hi: int):
+    """The componentwise splittings A + B = K with lo <= t <= hi, as
+    (A, B, mult, t) with mult = prod C(K_i, A_i) and t = s_A - n_A + 2,
+    grouped by t mod 3.  A and B come out as keys (no trailing zeros)."""
+    def cons(a, A):
+        return (a,) + A if a or A else ()
+
+    # Positions >= 1 only raise t and position 0 lowers it by at most K_0,
+    # so build from the top down, drop a partial splitting once t passes
+    # hi + K_0, and pick A_0 last from the range that lands t in [lo, hi].
+    c0 = K[0] if K else 0
+    parts = [((), (), 1, 2)]
+    for i in range(len(K) - 1, 0, -1):
+        c = K[i]
+        parts = [(cons(a, A), cons(c - a, B), mult * comb(c, a), t + (i - 1) * a)
+                 for A, B, mult, t in parts for a in range(c + 1)
+                 if t + (i - 1) * a <= hi + c0]
+    groups = ([], [], [])
+    for A, B, mult, t in parts:
+        for a in range(max(t - hi, 0), min(t - lo, c0) + 1):
+            groups[(t - a) % 3].append(
+                (cons(a, A), cons(c0 - a, B), mult * comb(c0, a), t - a))
+    return groups
 
 
 def string_oracle(table: IntersectionTable, K: Iterable[int]) -> Fraction:
@@ -407,6 +463,90 @@ def genus_zero_closed_form(K: Iterable[int]) -> Fraction:
     for d, c in enumerate(K):
         denom *= factorial(d) ** c
     return Fraction(factorial(n - 3), denom)
+
+
+# ------------------------------------------------------------ table cache
+
+def default_cache_path() -> Path:
+    """$QGENUS_CACHE_DIR/intersection.json, else under ~/.cache/qgenus."""
+    root = os.environ.get("QGENUS_CACHE_DIR")
+    base = Path(root).expanduser() if root else Path.home() / ".cache" / "qgenus"
+    return base / "intersection.json"
+
+
+def table_audit(table: IntersectionTable) -> list[str]:
+    """Check a table, typically one read back from a cache, and return its
+    faults (empty when clean).  It must hold exactly the valid indices
+    through its degree.  Genus-0 entries must match the closed form,
+    entries with K_0 >= 1 the string equation and entries with K_1 >= 1
+    the dilaton relation; an entry none of these reaches is re-derived
+    from its constraint.  Each check reads only entries of lower degree,
+    so by induction a clean audit means every entry is right."""
+    values = table.values
+    count = 0
+    for s in range(table.complete_through + 1):
+        for K in _valid_indices_of_degree(s):
+            if K not in values:
+                return [f"entry {K} is missing"]
+            count += 1
+    if len(values) != count:
+        return [f"{len(values) - count} entries are not valid indices of "
+                f"degree <= {table.complete_through}"]
+    faults = []
+    for K, v in sorted(values.items()):
+        n, s = index_stats(K)
+        g = (s - n + 3) // 3
+        want = []
+        if g == 0:
+            want.append(("genus-0 closed form", genus_zero_closed_form(K)))
+        if K[0] and K != (3,):
+            want.append(("string equation", string_oracle(table, K)))
+        if len(K) > 1 and K[1] and n > 1 and 2 * g - 3 + n > 0:
+            X = list(K)
+            X[1] -= 1
+            want.append(("dilaton relation",
+                         (2 * g - 3 + n) * values[_strip(X)]))
+        if not want:
+            want.append(("constraint", table._constraint_value(K)))
+        faults += [f"{K} = {v}, {route} gives {w}"
+                   for route, w in want if v != w]
+    return faults
+
+
+def load_table(path: Path) -> IntersectionTable:
+    """The audited table cached at ``path``.  A missing file gives an empty
+    table; an unreadable or unrecognized file, or one that fails
+    :func:`table_audit`, is reported on stderr and gives an empty table
+    too, so the caller regenerates it."""
+    if not path.exists():
+        return IntersectionTable()
+    try:
+        table = IntersectionTable.loads(path.read_text())
+    except (ValueError, KeyError, TypeError, AttributeError,
+            ZeroDivisionError, DomainError) as e:
+        problem = f"is unusable ({e})"
+    else:
+        faults = table_audit(table)
+        if not faults:
+            return table
+        problem = f"fails its audit ({faults[0]})"
+    print(f"warning: cache {path} {problem}; regenerating", file=sys.stderr)
+    return IntersectionTable()
+
+
+def save_table(path: Path, table: IntersectionTable) -> None:
+    """Write the table to ``path`` atomically (temp file, then rename)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name,
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(table.dumps())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 # -------------------------------------------------- generating function

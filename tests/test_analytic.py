@@ -5,6 +5,8 @@ Oracles
 * ``cmath.exp`` for the alpha = 1 series.
 * ``scipy.special.erfc`` / ``erfcx`` / ``dawsn`` / ``wofz`` for the
   alpha = 1/2 family (completely independent implementations).
+* ``mpmath`` at 50 digits for roots of eps and for exp(z^2) erfc(-z)
+  beyond the double range of z^-n.
 * Exact ``Fraction`` partial sums with certified geometric tail bounds for
   eps at negative arguments (the terms are positive and eventually decay
   faster than any geometric ratio, so a stdlib-only enclosure exists).
@@ -22,6 +24,7 @@ import io
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 import scipy.special as sp
 from hypothesis import given, strategies as st
@@ -210,6 +213,27 @@ class TestGenericAlphaTail:
         with pytest.raises(DomainError):
             ml_asymptotic(Fraction(3, 2), 10j)
 
+    @pytest.mark.parametrize("y", [12.2, -12.5, 13.0, -15.0, 18.5, 21.0,
+                                   -24.0, 25.0])
+    def test_half_alpha_beyond_power_underflow(self, y):
+        # optimal truncation needs about 2 y^2 terms, past where z^-n
+        # underflows (|y| > 12.1); the terms continue in log space
+        got = ml_asymptotic(Fraction(1, 2), complex(0, y))
+        with mpmath.workdps(50):
+            z = mpmath.mpc(0, y)
+            ref = complex(mpmath.exp(z * z) * mpmath.erfc(-z))
+        assert abs(got.value - ref) <= 1e-13 * abs(ref)
+        assert abs(got.value - ref) <= got.error
+
+    def test_third_alpha_beyond_gamma_underflow(self):
+        # 1/Gamma(1 - n/3) overflows the doubles before the stopping test
+        got = ml_asymptotic(Fraction(1, 3), -6.0)
+        with mpmath.workdps(120):
+            ref = mpmath.nsum(lambda n: mpmath.mpf(-6) ** n
+                              / mpmath.gamma(1 + n / mpmath.mpf(3)),
+                              [0, mpmath.inf])
+        assert abs(got.value - float(ref)) <= 1e-13 * abs(float(ref))
+
 
 # ---------------------------------------------------------------------------
 # the odd part and eps itself
@@ -359,6 +383,22 @@ class TestEpsilonInverse:
         for y in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 epsilon_inverse(y)
+
+    @staticmethod
+    def _root(y, guess):
+        with mpmath.workdps(50):
+            return float(mpmath.findroot(
+                lambda x: mpmath.hyp1f1(1, mpmath.mpf(3) / 2, -x / 2) - y,
+                mpmath.mpf(guess)))
+
+    @pytest.mark.parametrize(
+        "y", [0.030049549344657756, 0.03397757592781982]
+        + [0.02 + 0.04 * k for k in range(25)])
+    def test_error_covers_distance_to_root(self, y):
+        # the bisection width alone misses eps's own error, which dominates
+        # for small y (x ~ 1/y, where |eps'(x)| ~ 1/x^2 is small)
+        got = epsilon_inverse(y)
+        assert abs(got.value - self._root(y, got.value)) <= got.error
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,22 @@ class TestIntersection:
         assert "regenerating" in r.stderr
         assert json.loads(cache.read_text())["format"] == "intersection-table/1"
 
+    def test_altered_value_regenerates_with_warning(self, tmp_path):
+        # well-formed JSON with one wrong number must not be served
+        cache = tmp_path / "table.json"
+        run("--cache-path", str(cache), "intersection", "--max-weight", "13")
+        obj = json.loads(cache.read_text())
+        assert obj["entries"]["0,0,1,1"] == "29/5760"
+        obj["entries"]["0,0,1,1"] = "29/5761"
+        cache.write_text(json.dumps(obj))
+        r = run("--cache-path", str(cache), "intersection",
+                "--max-weight", "13")
+        assert r.exit_code == 0
+        assert "warning" in r.stderr and "regenerating" in r.stderr
+        fresh = run("intersection", "--max-weight", "13", "--no-cache")
+        assert r.stdout == fresh.stdout and "29/5760" in r.stdout
+        assert json.loads(cache.read_text())["entries"]["0,0,1,1"] == "29/5760"
+
     def test_version_mismatch_recomputes(self, tmp_path):
         cache = tmp_path / "table.json"
         cache.write_text(json.dumps({"format": "intersection-table/0",

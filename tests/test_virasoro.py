@@ -1,7 +1,9 @@
 """Oscillator/degree-operator tests and the intersection table, with the
 string-equation and genus-0 closed forms as independent oracles."""
 
+import hashlib
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +15,8 @@ from qgenus.virasoro import (AnnihilationReport, FockPoly, IntersectionTable,
                              correlator_weight, counts_from_degrees,
                              free_energy, genus_of, genus_zero_closed_form,
                              index_stats, l_apply, l_bracket_residual,
-                             string_oracle, t_to_x, tau_series, x_to_t)
+                             load_table, save_table, string_oracle, t_to_x,
+                             table_audit, tau_series, x_to_t)
 
 F = Fraction
 
@@ -129,7 +132,7 @@ def test_jozefiak_round_trip(mono):
 
 @pytest.fixture(scope="module")
 def table():
-    return IntersectionTable().build_through(6)
+    return IntersectionTable().build_through(10)
 
 
 def test_index_bookkeeping():
@@ -160,6 +163,43 @@ def test_invalid_entries_are_rejected(table):
         table.value(())
     with pytest.raises(TruncationError):
         table.value((0,) * 19 + (1,))  # valid (genus 7) but beyond build range
+
+
+# sha256 of IntersectionTable().build_through(d).dumps(); any change to an
+# entry or to the serialization shows here.
+FROZEN_DUMPS_SHA256 = {
+    11: "3e2c0e81050ca1107f3739fe662e68191f91190971a0eff9e0a1dcd5488a9ae1",
+    13: "a8e6c12ab6a727e4babc4e59a28287d9cb27364f862945f0e345d640f4e618b4",
+}
+
+
+@pytest.mark.parametrize("d", sorted(FROZEN_DUMPS_SHA256))
+def test_frozen_table_digest(d):
+    text = IntersectionTable().build_through(d).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_DUMPS_SHA256[d]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_one_point_entries(table, g):
+    # <tau_(3g-2)>_g = 1 / (24^g g!)
+    K = (0,) * (3 * g - 2) + (1,)
+    assert genus_of(K) == g
+    assert table.value(K) == F(1, 24 ** g * factorial(g))
+
+
+def test_two_point_genus_two(table):
+    assert table.value((0, 0, 1, 1)) == F(29, 5760)
+
+
+def test_unbuilt_entry_raises_truncation():
+    # (0, 0, 0, 0, 0, 0, 0, 1) is a valid genus-3 entry of degree 7
+    part = IntersectionTable().build_through(6)
+    with pytest.raises(TruncationError):
+        part._v((0,) * 7 + (1,))
+    # a constraint whose inputs are missing says so instead of a KeyError
+    del part.values[(0, 0, 0, 0, 1)]
+    with pytest.raises(TruncationError):
+        part._constraint_value((1, 0, 0, 0, 0, 1))
 
 
 def test_string_equation_oracle(table):
@@ -197,6 +237,59 @@ def test_genus_zero_closed_form(table):
     # the closed form rejects entries of other genera
     with pytest.raises(DomainError):
         genus_zero_closed_form((0, 1))
+
+
+def test_audit_passes_built_table(table):
+    assert table_audit(table) == []
+
+
+def test_audit_catches_every_altered_entry():
+    built = IntersectionTable().build_through(7)
+    for K in built.values:
+        copy = IntersectionTable.loads(built.dumps())
+        copy.values[K] += F(1, 10 ** 9)
+        assert table_audit(copy), f"altered {K} passes the audit"
+
+
+@pytest.mark.parametrize("K,route", [
+    ((3,), "genus-0 closed form"), ((1, 0, 0, 0, 0, 1), "string equation"),
+    ((0, 2), "dilaton relation"), ((0, 0, 1, 1), "constraint"),
+    ((0, 1), "constraint")])
+def test_audit_names_the_route(K, route):
+    copy = IntersectionTable().build_through(7)
+    copy.values[K] += 1
+    own = [f for f in table_audit(copy) if f.startswith(f"{K} = ")]
+    assert own and all(route in f for f in own)
+
+
+def test_audit_catches_missing_and_extra_entries():
+    built = IntersectionTable().build_through(5)
+    short = IntersectionTable.loads(built.dumps())
+    del short.values[(0, 0, 1, 1)]
+    assert "missing" in table_audit(short)[0]
+    long = IntersectionTable.loads(built.dumps())
+    long.values[(2, 1)] = F(1)   # no genus fits (2, 1)
+    assert table_audit(long)
+    deep = IntersectionTable.loads(built.dumps())
+    deep.complete_through = 10 ** 9
+    assert "missing" in table_audit(deep)[0]
+
+
+def test_cache_load_audits(tmp_path, capsys):
+    path = tmp_path / "sub" / "table.json"
+    assert load_table(path).complete_through == -1   # no file yet
+    built = IntersectionTable().build_through(5)
+    save_table(path, built)
+    assert path.read_text() == built.dumps()
+    assert dict(load_table(path).entries()) == dict(built.entries())
+    assert capsys.readouterr().err == ""
+    path.write_text(built.dumps().replace('"29/5760"', '"29/5761"'))
+    assert load_table(path).complete_through == -1
+    assert "fails its audit" in capsys.readouterr().err
+    for text in ("[]", built.dumps().replace('"29/5760"', '"1/0"')):
+        path.write_text(text)
+        assert load_table(path).complete_through == -1
+        assert "is unusable" in capsys.readouterr().err
 
 
 def test_table_json_round_trip(table):
