@@ -50,9 +50,9 @@ from .virasoro import (FockPoly, IntersectionTable, correlator_weight,
                        save_table)
 from .witt import (LatticeFockElement, WittVector, Y_multiplicativity_check,
                    closure_report, ghost, hl_q_gen, lattice_action_obj,
-                   lattice_from_json, lattice_grading_audit, lattice_universe,
-                   q_subfunctor_check, vertex_Y_lattice, vertex_Y_powersum,
-                   vertex_table_obj, witt_mul)
+                   lattice_apply, lattice_from_json, lattice_grading_audit,
+                   lattice_universe, q_subfunctor_check, vertex_Y_lattice,
+                   vertex_Y_powersum, vertex_table_obj, witt_mul)
 
 # Desk-scale ceilings: everything below finishes in seconds on a laptop;
 # anything above deserves a batch job, not a CLI call.
@@ -62,6 +62,7 @@ _MAX_TABLE_WEIGHT = 13   # intersection generating-function weight
 _MAX_FOCK_WEIGHT = 10    # virasoro-check monomial weight
 _MAX_MODE = 6            # virasoro mode indices
 _MAX_VOA_CAP = 12        # vertex-operator weight caps
+_MAX_CPN = 12            # kw --cpn degree; memory grows ~5x per two degrees
 _MAX_POINTS = 10_000     # epsilon-table rows
 
 
@@ -639,7 +640,8 @@ def kw(obj, cpn, integrality, modp):
 
     if cpn is not None:
         cfg = _config(obj, "kw", orders=(cpn,))
-        _require(0 <= cpn <= 16, "--cpn is capped at 16 (desk scale)")
+        _require(0 <= cpn <= _MAX_CPN,
+                 f"--cpn is capped at {_MAX_CPN} (desk scale)")
         p = projective_image(cpn)
         a, e = to_q_over_q1(p)
         qform = f"({e}) / q1^{a}" if a > 1 else (f"({e}) / q1" if a else str(e))
@@ -1037,8 +1039,9 @@ def voa_lattice(obj, gram_file, point_str, target_str, weight_cap):
     state = LatticeFockElement(lattice,
                                {target: SparsePoly.const(uni, 1)})
     op = vertex_Y_lattice(point, lattice, weight_cap=weight_cap)
-    violations = lattice_grading_audit(op, state)
-    table = lattice_action_obj(op, state)
+    applied = lattice_apply(op, state)
+    violations = lattice_grading_audit(op, state, applied=applied)
+    table = lattice_action_obj(op, state, applied=applied)
     audit = "clean" if not violations else f"{len(violations)} violations"
     pretty = [f"point: {point_str}", f"grading audit: {audit}"]
     for entry in table["entries"]:

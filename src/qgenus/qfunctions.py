@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import DomainError, IncompatibleOperands
@@ -41,25 +42,23 @@ def is_strict(parts: Partition) -> bool:
     return all(a > b for a, b in zip(parts, parts[1:]))
 
 
-def square_expansion(i: int) -> list[tuple[Partition, int]]:
+@lru_cache(maxsize=None)
+def square_expansion(i: int) -> tuple[tuple[Partition, int], ...]:
     """The rewriting of the pair q_i q_i as square-free pairs:
-    [(multiset, coefficient), ...]."""
-    out = []
-    for a in range(i):
-        coeff = 2 * (-1) ** (i + a + 1)
-        ms = (2 * i - a,) if a == 0 else _as_multiset((a, 2 * i - a))
-        out.append((ms, coeff))
-    return out
+    ((multiset, coefficient), ...)."""
+    return tuple(((2 * i - a, a) if a else (2 * i,), 2 * (-1) ** (i + a + 1))
+                 for a in range(i))
 
 
-_REDUCE_MEMO: dict[Partition, dict[Partition, Fraction]] = {}
+_REDUCE_MEMO: dict[Partition, dict[Partition, int]] = {}
 
 
-def q_reduce(parts: Iterable[int]) -> dict[Partition, Fraction]:
+def q_reduce(parts: Iterable[int]) -> dict[Partition, int]:
     """Rewrite a monomial q_(m1) q_(m2) ... (any multiset of indices) in the
-    strict-partition basis.  Iterative with explicit stack so deep rewrites
-    never hit the recursion limit; results are memoized across calls (the
-    returned dicts are shared — treat them as read-only)."""
+    strict-partition basis.  The rewriting rule has integer coefficients,
+    so every value is an ``int``.  Iterative with explicit stack so deep
+    rewrites never hit the recursion limit; results are memoized across
+    calls (the returned dicts are shared — treat them as read-only)."""
     target = _as_multiset(parts)
     memo = _REDUCE_MEMO
     stack = [target]
@@ -68,28 +67,24 @@ def q_reduce(parts: Iterable[int]) -> dict[Partition, Fraction]:
         if ms in memo:
             stack.pop()
             continue
-        rep = None
-        for a, b in zip(ms, ms[1:]):
-            if a == b:
-                rep = a
+        for i in range(len(ms) - 1):
+            if ms[i] == ms[i + 1]:
                 break
-        if rep is None:
-            memo[ms] = {ms: Fraction(1)}
+        else:
+            memo[ms] = {ms: 1}
             stack.pop()
             continue
-        rest = list(ms)
-        rest.remove(rep)
-        rest.remove(rep)
-        children = [(_as_multiset(tuple(rest) + child), coeff)
-                    for child, coeff in square_expansion(rep)]
+        rest = ms[:i] + ms[i + 2:]
+        children = [(tuple(sorted(rest + child, reverse=True)), coeff)
+                    for child, coeff in square_expansion(ms[i])]
         pending = [c for c, _ in children if c not in memo]
         if pending:
             stack.extend(pending)
             continue
-        acc: dict[Partition, Fraction] = {}
+        acc: dict[Partition, int] = {}
         for child, coeff in children:
             for basis, c in memo[child].items():
-                val = acc.get(basis, Fraction(0)) + coeff * c
+                val = acc.get(basis, 0) + coeff * c
                 if val:
                     acc[basis] = val
                 elif basis in acc:
@@ -97,6 +92,16 @@ def q_reduce(parts: Iterable[int]) -> dict[Partition, Fraction]:
         memo[ms] = acc
         stack.pop()
     return memo[target]
+
+
+def _over_common_denominator(terms: Mapping) -> tuple[list, int]:
+    """([(key, n), ...], d) with terms[key] == n / d for integers n and d
+    the LCM of the denominators."""
+    d = 1
+    for c in terms.values():
+        d = lcm(d, c.denominator)
+    return [(k, c.numerator * (d // c.denominator))
+            for k, c in terms.items()], d
 
 
 class QElement:
@@ -153,13 +158,17 @@ class QElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = QElement(self.terms)
+        terms = dict(self.terms)
         for p, c in o.terms.items():
-            v = out.terms.get(p, Fraction(0)) + c
-            if v:
-                out.terms[p] = v
-            elif p in out.terms:
-                del out.terms[p]
+            acc = terms.get(p)
+            if acc is None:
+                terms[p] = c
+            elif v := acc + c:
+                terms[p] = v
+            else:
+                del terms[p]
+        out = QElement()
+        out.terms = terms
         return out
 
     __radd__ = __add__
@@ -180,16 +189,19 @@ class QElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = QElement()
-        for p1, c1 in self.terms.items():
-            for p2, c2 in o.terms.items():
+        # integer products over the two common denominators; one Fraction
+        # per output term
+        a, da = _over_common_denominator(self.terms)
+        b, db = _over_common_denominator(o.terms)
+        acc: dict[Partition, int] = {}
+        for p1, c1 in a:
+            for p2, c2 in b:
                 c = c1 * c2
                 for basis, r in q_reduce(p1 + p2).items():
-                    v = out.terms.get(basis, Fraction(0)) + c * r
-                    if v:
-                        out.terms[basis] = v
-                    elif basis in out.terms:
-                        del out.terms[basis]
+                    acc[basis] = acc.get(basis, 0) + c * r
+        den = da * db
+        out = QElement()
+        out.terms = {p: Fraction(v, den) for p, v in acc.items() if v}
         return out
 
     __rmul__ = __mul__
@@ -299,17 +311,21 @@ class QTensor:
         return out
 
     def __mul__(self, other: "QTensor") -> "QTensor":
+        a, da = _over_common_denominator(self.terms)
+        b, db = _over_common_denominator(other.terms)
+        acc: dict[tuple[Partition, Partition], int] = {}
+        for (l1, r1), c1 in a:
+            for (l2, r2), c2 in b:
+                c = c1 * c2
+                right = q_reduce(r1 + r2).items()
+                for bl, cl in q_reduce(l1 + l2).items():
+                    cl *= c
+                    for br, cr in right:
+                        k = (bl, br)
+                        acc[k] = acc.get(k, 0) + cl * cr
+        den = da * db
         out = QTensor()
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                piece = QTensor.of(QElement.monomial(l1 + l2),
-                                   QElement.monomial(r1 + r2))
-                for k, c in piece.terms.items():
-                    v = out.terms.get(k, Fraction(0)) + c1 * c2 * c
-                    if v:
-                        out.terms[k] = v
-                    elif k in out.terms:
-                        del out.terms[k]
+        out.terms = {k: Fraction(v, den) for k, v in acc.items() if v}
         return out
 
     def scale(self, c) -> "QTensor":

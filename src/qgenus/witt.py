@@ -1023,80 +1023,93 @@ class LatticeFockElement:
 
 @dataclass(frozen=True)
 class LatticeVertexOperator:
-    """Mode table of the operator attached to a lattice point.
+    """Normally ordered operator attached to a lattice point.
 
-    ``table`` maps a bare z-exponent (from the modes alone) to a
-    polynomial over the operator universe; applying to a component at
-    point mu additionally shifts z by <point, mu> and translates the
-    component to mu + point.
+    ``creation[c]`` is the z^c coefficient of
+    exp(sum_n sum_d point_d p~_n^(d) z^n) and acts by multiplication;
+    ``annihilation[a]`` is the z^-a coefficient of
+    exp(sum_n (-1)^n sum_d (Gram point)_d p~_n^(d) z^-n), where each symbol
+    p~_n^(d) acts as (1/n) d/dp~_n^(d).  Both halves are state-universe
+    polynomials, homogeneous of weight equal to their z-degree, so the
+    truncation "total weight <= weight_cap" keeps exactly the pairs
+    c + a <= weight_cap.  Applying to a component at mu additionally
+    shifts z by <point, mu> and translates the component to mu + point.
     """
 
     lattice: LatticeData
     point: tuple
-    table: Mapping[int, SparsePoly]
+    creation: tuple[SparsePoly, ...]
+    annihilation: tuple[SparsePoly, ...]
     weight_cap: int
+
+    @property
+    def table(self) -> dict[int, SparsePoly]:
+        """The mixed mode table over the operator universe: z-exponent ->
+        sum of creation[c] * annihilation[a] over c - a = e and
+        c + a <= weight_cap."""
+        uni = lattice_sd_universe(self.lattice.rank)
+
+        def rename(poly: SparsePoly, side: str) -> SparsePoly:
+            return SparsePoly(uni, {tuple(((side,) + k, x) for k, x in mono): c
+                                    for mono, c in poly.terms.items()})
+
+        creation = [rename(p, "s") for p in self.creation]
+        table: dict[int, SparsePoly] = {}
+        for a, ann in enumerate(self.annihilation):
+            dual = rename(ann, "d")
+            for c in range(self.weight_cap - a + 1):
+                prod = creation[c] * dual
+                table[c - a] = table[c - a] + prod if c - a in table else prod
+        return {e: p for e, p in sorted(table.items()) if p}
+
+
+def _mode_exponential(uni: Universe, coords: Sequence[int], sign: int,
+                      weight_cap: int) -> tuple[SparsePoly, ...]:
+    """[u^0], ..., [u^weight_cap] of exp(sum_n sign^n sum_d coords_d
+    p~_n^(d) u^n)."""
+    modes = {n: SparsePoly(uni, {(((d, n), 1),): sign ** n * x
+                                 for d, x in enumerate(coords) if x})
+             for n in range(1, weight_cap + 1)}
+    series = TruncatedSeries.univariate("u", modes, weight_cap).exp()
+    out = []
+    for n in range(weight_cap + 1):
+        c = series.coefficient(n)
+        out.append(c if isinstance(c, SparsePoly) else SparsePoly.const(uni, c))
+    return tuple(out)
 
 
 def vertex_Y_lattice(point: Sequence[int], lattice: LatticeData, *,
                      weight_cap: int) -> LatticeVertexOperator:
-    """Operator for a lattice point: exponential of its mode sums.
+    """Operator for a lattice point, normally ordered as
+    exp(multiplication modes) * exp(dual modes).
 
     Multiplication modes carry z^n with coefficient sum_d point_d p~_n^(d);
     dual modes carry (-1)^n z^{-n} acting through <point, .>, i.e. with the
     Gram-transformed coordinates.
     """
     pt = lattice.check_vector(point)
-    dual = lattice.pairing_vector(pt)
-    uni = lattice_sd_universe(lattice.rank)
-    entries: dict[int, SparsePoly] = {}
-    for n in range(1, weight_cap + 1):
-        for d in range(lattice.rank):
-            if pt[d]:
-                cur = entries.get(n, SparsePoly.zero(uni))
-                entries[n] = cur + SparsePoly.monomial(
-                    uni, {("s", d, n): 1}, pt[d])
-            if dual[d]:
-                cur = entries.get(-n, SparsePoly.zero(uni))
-                entries[-n] = cur + SparsePoly.monomial(
-                    uni, {("d", d, n): 1}, dual[d] * (-1) ** n)
-    # exp of the combined mode sum (everything commutes in this ring);
-    # maintain power = entries^j / j! and accumulate
-    table: dict[int, SparsePoly] = {0: SparsePoly.const(uni, 1)}
-    power: dict[int, SparsePoly] = {0: SparsePoly.const(uni, 1)}
-    for j in range(1, weight_cap + 1):
-        nxt: dict[int, SparsePoly] = {}
-        for e1, p1 in power.items():
-            for e2, p2 in entries.items():
-                prod = (p1 * p2).weight_truncate(weight_cap)
-                if not prod:
-                    continue
-                e = e1 + e2
-                nxt[e] = nxt.get(e, SparsePoly.zero(uni)) + prod
-        power = {e: p * Fraction(1, j) for e, p in nxt.items() if p}
-        if not power:
-            break
-        for e, p in power.items():
-            cur = table.get(e)
-            table[e] = p if cur is None else cur + p
-    return LatticeVertexOperator(lattice, pt,
-                                 {e: p for e, p in sorted(table.items()) if p},
-                                 weight_cap)
+    uni = lattice_universe(lattice.rank)
+    return LatticeVertexOperator(
+        lattice, pt,
+        _mode_exponential(uni, pt, 1, weight_cap),
+        _mode_exponential(uni, lattice.pairing_vector(pt), -1, weight_cap),
+        weight_cap)
 
 
-def _apply_lattice_monomial(mono, coeff, state: SparsePoly,
-                            state_uni: Universe) -> SparsePoly:
-    out = state * coeff
-    mult: dict[tuple, int] = {}
-    for (side, d, n), e in mono:
-        if side == "d":
+def _annihilate(ann: SparsePoly, state: SparsePoly) -> SparsePoly:
+    """Apply a polynomial in the dual modes: (d, n) acts as (1/n) d/dp~_n^(d)."""
+    out = SparsePoly.zero(state.universe)
+    for mono, c in ann.terms.items():
+        term = state
+        scale = c
+        for key, e in mono:
             for _ in range(e):
-                out = out.differentiate((d, n)) * Fraction(1, n)
-                if not out:
-                    return out
-        else:
-            mult[(d, n)] = mult.get((d, n), 0) + e
-    if mult:
-        out = out * SparsePoly(state_uni, {tuple(sorted(mult.items())): 1})
+                term = term.differentiate(key)
+            if not term:
+                break
+            scale = scale * Fraction(1, key[1] ** e)
+        if term:
+            out = out + term * scale
     return out
 
 
@@ -1105,22 +1118,27 @@ def lattice_apply(op: LatticeVertexOperator,
     """Apply to a state: {z-exponent: resulting element}.
 
     Each source component at mu contributes at z-exponents shifted by
-    <point, mu> and lands in the component mu + point.
+    <point, mu> and lands in the component mu + point.  The annihilation
+    half acts first; annihilation[a] kills every component of weight
+    below a.
     """
     if state.lattice.gram != op.lattice.gram:
         raise IncompatibleOperands("state and operator use different lattices")
-    uni = lattice_universe(op.lattice.rank)
     raw: dict[int, dict[tuple, SparsePoly]] = {}
     for mu, poly in state.components.items():
         shift = op.lattice.inner(op.point, mu)
         target = tuple(a + b for a, b in zip(mu, op.point))
-        for ez, entry in op.table.items():
-            acc = SparsePoly.zero(uni)
-            for mono, c in entry.terms.items():
-                acc = acc + _apply_lattice_monomial(mono, c, poly, uni)
-            if acc:
-                comp = raw.setdefault(ez + shift, {})
-                comp[target] = comp.get(target, SparsePoly.zero(uni)) + acc
+        top = poly.max_weight()
+        for a, ann in enumerate(op.annihilation[:top + 1]):
+            lowered = _annihilate(ann, poly)
+            if not lowered:
+                continue
+            for c in range(op.weight_cap - a + 1):
+                piece = op.creation[c] * lowered
+                if piece:
+                    comp = raw.setdefault(c - a + shift, {})
+                    prev = comp.get(target)
+                    comp[target] = piece if prev is None else prev + piece
     return {
         e: LatticeFockElement(op.lattice, comps)
         for e, comps in sorted(raw.items())
@@ -1129,27 +1147,34 @@ def lattice_apply(op: LatticeVertexOperator,
 
 
 def lattice_grading_audit(op: LatticeVertexOperator,
-                          state: LatticeFockElement) -> tuple:
+                          state: LatticeFockElement, *,
+                          applied: Mapping[int, LatticeFockElement] | None = None
+                          ) -> tuple:
     """Exact grade bookkeeping for every output term.
 
     For a source component at mu and output z-exponent e, every produced
     term must satisfy grade(out) - grade(in) - e = <point, point> +
-    <point, mu> (independently of which modes fired).  Returns the tuple
-    of violations (empty when the audit passes).
+    <point, mu> (independently of which modes fired).  ``applied`` may
+    pass in ``lattice_apply(op, state)`` when the caller already has it.
+    Returns the tuple of violations (empty when the audit passes).
     """
+    if applied is None:
+        applied = lattice_apply(op, state)
     violations = []
     lam = op.point
     L = op.lattice
     for mu, poly in state.components.items():
-        src = LatticeFockElement(L, {mu: poly})
         expect = L.inner(lam, lam) + L.inner(lam, mu)
-        out = lattice_apply(op, src)
-        grades_in = src.grades()
+        grades_in = LatticeFockElement(L, {mu: poly}).grades()
         if len(grades_in) != 1:
             raise DomainError("grading audit needs homogeneous components")
         g_in = grades_in.pop()
-        for e, elem in out.items():
-            for g_out in elem.grades():
+        target = tuple(a + b for a, b in zip(mu, lam))
+        for e, elem in applied.items():
+            out = elem.components.get(target)
+            if out is None:
+                continue
+            for g_out in LatticeFockElement(L, {target: out}).grades():
                 if g_out - g_in - e != expect:
                     violations.append((mu, e, g_out, g_in, expect))
     return tuple(violations)
@@ -1178,11 +1203,16 @@ def vertex_table_obj(op: VertexOperator) -> dict:
 
 
 def lattice_action_obj(op: LatticeVertexOperator,
-                       state: LatticeFockElement) -> dict:
-    """JSON-ready Laurent table of the lattice action on a state."""
+                       state: LatticeFockElement, *,
+                       applied: Mapping[int, LatticeFockElement] | None = None
+                       ) -> dict:
+    """JSON-ready Laurent table of the lattice action on a state
+    (``applied``: ``lattice_apply(op, state)``, if already computed)."""
+    if applied is None:
+        applied = lattice_apply(op, state)
     uni = lattice_universe(op.lattice.rank)
     entries = []
-    for e, elem in lattice_apply(op, state).items():
+    for e, elem in applied.items():
         for pt, poly in sorted(elem.components.items()):
             terms = {}
             for mono, c in sorted(poly.terms.items()):

@@ -4,9 +4,15 @@ The README's console examples are executed verbatim at the bottom, so
 every documented invocation stays honest.
 """
 
+import hashlib
 import json
+import os
 import re
+import resource
 import shlex
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -300,6 +306,11 @@ class TestKw:
         assert run("kw", "--cpn", "1", "--modp", "3").exit_code == 2
         assert run("kw", "--modp", "4").exit_code == 2
 
+    def test_cpn_cap(self):
+        r = run("kw", "--cpn", "13")
+        assert r.exit_code == 2
+        assert "--cpn is capped at 12" in r.stderr
+
 
 class TestFgl:
     def _write(self, tmp_path, obj):
@@ -544,6 +555,56 @@ class TestExitCodes:
 
     def test_check_failure_is_one(self):
         assert run("witt", "qcheck", "1,1").exit_code == 1
+
+
+# ---------------------------------------------------------------------------
+# cap ladder: commands at their documented caps, each in a child process
+# under a wall-clock budget and a 3 GiB address-space limit
+# ---------------------------------------------------------------------------
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+_ADDRESS_SPACE = 3 * 1024 ** 3
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+
+
+_LATTICE_CAP = ("voa", "lattice", "--gram", "@gram", "--point", "1,1",
+                "--weight-cap", "12")
+
+# (argv, budget in seconds, sha256 of stdout or None); the digests were
+# taken before the normal-ordered lattice operator
+CAP_LADDER = [
+    pytest.param(
+        _LATTICE_CAP, 20,
+        "34aee269e84b414e8aa6c8b72c158326b947a0dc9def18ba30f699c4e76d12d2",
+        id="voa-lattice-12"),
+    pytest.param(
+        ("-f", "json") + _LATTICE_CAP, 20,
+        "2b3bfb53446cde85e0f5ff44e5a0af096c40c64cb52c03c0f92c42196385a4b2",
+        id="voa-lattice-12-json"),
+    pytest.param(("kw", "--cpn", "12"), 60, None, id="kw-cpn-12"),
+]
+
+
+@pytest.mark.parametrize("argv,budget,digest", CAP_LADDER)
+def test_cap_ladder(argv, budget, digest, tmp_path):
+    gram = tmp_path / "gram.json"
+    gram.write_text("[[2,1],[1,2]]")
+    argv = [str(gram) if a == "@gram" else a for a in argv]
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, QGENUS_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=str(_SRC) + (os.pathsep + path if path else ""))
+    start = time.perf_counter()
+    r = subprocess.run([sys.executable, "-m", "qgenus.cli", *argv],
+                       capture_output=True, env=env, timeout=budget,
+                       preexec_fn=_limit_address_space)
+    elapsed = time.perf_counter() - start
+    assert r.returncode == 0, r.stderr.decode()
+    assert elapsed < budget
+    if digest is not None:
+        assert hashlib.sha256(r.stdout).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Algebra-layer tests: reduction, Hopf structure, coordinates, the
 classical orthogonal family, eigenvalue specializations."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
+from qgenus import qfunctions
+from qgenus.cli import cli
 from qgenus.errors import DomainError
 from qgenus.qfunctions import (QElement, QTensor, antipode, classical_q,
                                coproduct, counit, eigen_universe, hl_odd_power_sums,
@@ -65,10 +69,93 @@ def test_reduction_agrees_with_free_coordinate_route(parts):
     assert direct == via_reduction
 
 
+@given(small_partitions)
+def test_reduction_coefficients_are_ints(parts):
+    assert all(type(c) is int for c in q_reduce(parts).values())
+    assert all(type(c) is int for red in qfunctions._REDUCE_MEMO.values()
+               for c in red.values())
+
+
 def test_deep_reduction_terminates():
     red = q_reduce((8, 8, 7))  # weight 23 forces a long rewrite cascade
     assert all(sum(p) == 23 for p in red)
     assert red  # nonzero
+
+
+# ---------------------------------------------------------------- products
+# Oracle: the Fraction product, term by term, of the reduced pairs.
+
+strict_parts = st.lists(st.integers(1, 6), max_size=3, unique=True).map(
+    lambda ps: tuple(sorted(ps, reverse=True)))
+coefficients = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+elements = st.dictionaries(strict_parts, coefficients, max_size=4).map(QElement)
+tensors = st.dictionaries(st.tuples(strict_parts, strict_parts), coefficients,
+                          max_size=4).map(QTensor)
+
+
+def _fraction_product(x: QElement, y: QElement) -> dict:
+    out = {}
+    for p1, c1 in x.terms.items():
+        for p2, c2 in y.terms.items():
+            for basis, r in q_reduce(p1 + p2).items():
+                out[basis] = out.get(basis, F(0)) + F(c1) * F(c2) * r
+    return {b: c for b, c in out.items() if c}
+
+
+def _fraction_tensor_product(x: QTensor, y: QTensor) -> dict:
+    out = {}
+    for (l1, r1), c1 in x.terms.items():
+        for (l2, r2), c2 in y.terms.items():
+            for bl, cl in q_reduce(l1 + l2).items():
+                for br, cr in q_reduce(r1 + r2).items():
+                    key = (bl, br)
+                    out[key] = out.get(key, F(0)) + F(c1) * F(c2) * cl * cr
+    return {k: c for k, c in out.items() if c}
+
+
+@given(elements, elements)
+def test_product_matches_fraction_reference(x, y):
+    prod = x * y
+    assert prod.terms == _fraction_product(x, y)
+    assert all(type(c) is Fraction for c in prod.terms.values())
+
+
+@given(tensors, tensors)
+def test_tensor_product_matches_fraction_reference(x, y):
+    prod = x * y
+    assert prod.terms == _fraction_tensor_product(x, y)
+    assert all(type(c) is Fraction for c in prod.terms.values())
+
+
+def test_products_over_every_denominator_through_twelve():
+    x = QElement({(d,): F(1, d) for d in range(1, 13)})
+    y = QElement({(d, 1): F(d - 7, d) for d in range(2, 13)} | {(): F(5, 12)})
+    assert (x * y).terms == _fraction_product(x, y)
+    t = QTensor({((d,), (13 - d,)): F(1, d) for d in range(1, 13)})
+    assert (t * t).terms == _fraction_tensor_product(t, t)
+
+
+def test_product_with_cancelling_terms():
+    # (1 + q1 + q2)(1 - q1 + q2) = 1 + q2^2: degrees 1-3 cancel by the
+    # defining relation
+    x = QElement({(): F(1, 3), (1,): F(1, 3), (2,): F(1, 3)})
+    y = QElement({(): F(3, 4), (1,): F(-3, 4), (2,): F(3, 4)})
+    assert x * y == QElement({(): F(1, 4), (3, 1): F(1, 2), (4,): F(-1, 2)})
+    # (q1 (x) 1 + 1 (x) q1)(q1 (x) 1 - 1 (x) q1) = q1^2 (x) 1 - 1 (x) q1^2
+    a = QTensor({((1,), ()): F(1, 6), ((), (1,)): F(1, 6)})
+    b = QTensor({((1,), ()): F(3, 4), ((), (1,)): F(-3, 4)})
+    assert a * b == QTensor({((2,), ()): F(1, 4), ((), (2,)): F(-1, 4)})
+
+
+# sha256 of `qgenus -f json kw --cpn 10`, taken before the integer product
+KW_CPN10_JSON_SHA256 = (
+    "c083f1daf6afdb9ae5bdfa76345fa41b806fb6bfee8a0e8358c997b6531b02da")
+
+
+def test_kw_cpn_ten_output_is_frozen():
+    r = CliRunner().invoke(cli, ["-f", "json", "kw", "--cpn", "10"])
+    assert r.exit_code == 0, r.stderr
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == KW_CPN10_JSON_SHA256
 
 
 # ------------------------------------------------------------------- Hopf

@@ -38,6 +38,7 @@ from qgenus.witt import (
     lattice_apply,
     lattice_from_json,
     lattice_grading_audit,
+    lattice_sd_universe,
     lattice_universe,
     matrix_element,
     nondegeneracy_witness,
@@ -460,6 +461,83 @@ class TestRootOfUnityClosure:
 # lattices
 # ---------------------------------------------------------------------------
 
+_ORACLE_GRAMS = [((1,),), ((2,),), ((4,),), ((2, 1), (1, 2)),
+                 ((2, -1), (-1, 2)), ((2, 0), (0, 4)), ((1, 2), (2, -3))]
+
+
+def _mixed_mode_table(point, L, cap):
+    """exp of the whole mode sum (multiplication and dual modes together),
+    power by power, every power truncated at total weight cap."""
+    uni = lattice_sd_universe(L.rank)
+    zero = SparsePoly.zero(uni)
+    dual = L.pairing_vector(point)
+    modes = {}
+    for n in range(1, cap + 1):
+        for d in range(L.rank):
+            modes[n] = modes.get(n, zero) + point[d] * SparsePoly.gen(
+                uni, ("s", d, n))
+            modes[-n] = modes.get(-n, zero) + dual[d] * (-1) ** n * \
+                SparsePoly.gen(uni, ("d", d, n))
+    table = {0: SparsePoly.const(uni, 1)}
+    power = dict(table)
+    for j in range(1, cap + 1):
+        nxt = {}
+        for e1, p1 in power.items():
+            for e2, p2 in modes.items():
+                nxt[e1 + e2] = nxt.get(e1 + e2, zero) + \
+                    (p1 * p2).weight_truncate(cap) * Fraction(1, j)
+        power = nxt
+        for e, p in power.items():
+            table[e] = table.get(e, zero) + p
+    return {e: p for e, p in table.items() if p}
+
+
+def _apply_every_monomial(point, L, table, state):
+    """{z: {component: poly}}: each table monomial applied on its own, the
+    dual factors (d, n) as (1/n) d/dp~_n first, then the multiplications."""
+    uni = lattice_universe(L.rank)
+    out = {}
+    for mu, poly in state.components.items():
+        target = tuple(a + b for a, b in zip(mu, point))
+        for e, entry in table.items():
+            acc = SparsePoly.zero(uni)
+            for mono, c in entry.terms.items():
+                term, mult = poly * c, SparsePoly.const(uni, 1)
+                for (side, d, n), x in mono:
+                    if side == "d":
+                        for _ in range(x):
+                            term = term.differentiate((d, n)) * Fraction(1, n)
+                    else:
+                        mult = mult * SparsePoly.gen(uni, (d, n), x)
+                acc = acc + term * mult
+            if acc:
+                out.setdefault(e + L.inner(point, mu), {})[target] = acc
+    return out
+
+
+def _random_homogeneous_state(L, rng):
+    """One or two components, each a homogeneous polynomial of weight 1-4."""
+    uni = lattice_universe(L.rank)
+    comps = {}
+    for _ in range(rng.randint(1, 2)):
+        mu = tuple(rng.randint(-1, 1) for _ in range(L.rank))
+        w = rng.randint(1, 4)
+        poly = SparsePoly.zero(uni)
+        for _ in range(rng.randint(1, 3)):
+            powers, left = {}, w
+            while left:
+                n = rng.randint(1, left)
+                key = (rng.randrange(L.rank), n)
+                powers[key] = powers.get(key, 0) + 1
+                left -= n
+            poly = poly + SparsePoly.monomial(
+                uni, powers, Fraction(rng.choice([-3, -1, 1, 2, 5]),
+                                      rng.randint(1, 4)))
+        if poly:
+            comps[mu] = poly
+    return LatticeFockElement(L, comps)
+
+
 class TestLattice:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -531,6 +609,22 @@ class TestLattice:
                     conv[key] = conv.get(key) + prod if key in conv else prod
         conv = {k: v for k, v in conv.items() if v}
         assert conv == dict(c.table)
+
+    @given(st.sampled_from(_ORACLE_GRAMS), st.integers(1, 6),
+           st.integers(0, 10 ** 6))
+    def test_apply_matches_every_monomial_of_the_table(self, gram, cap, seed):
+        rng = random.Random(seed)
+        L = LatticeData(gram)
+        point = tuple(rng.randint(-2, 2) for _ in range(L.rank))
+        op = vertex_Y_lattice(point, L, weight_cap=cap)
+        table = _mixed_mode_table(point, L, cap)
+        assert op.table == table
+        state = _random_homogeneous_state(L, rng)
+        out = lattice_apply(op, state)
+        assert {e: elem.components for e, elem in out.items()} == \
+            _apply_every_monomial(point, L, table, state)
+        assert lattice_grading_audit(op, state) == ()
+        assert lattice_grading_audit(op, state, applied=out) == ()
 
     def test_action_json_shape(self):
         L = LatticeData(((2,),))
