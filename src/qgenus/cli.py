@@ -47,7 +47,7 @@ from .series import TruncatedSeries
 from .virasoro import (FockPoly, IntersectionTable, correlator_weight,
                        default_cache_path, genus_of, index_stats,
                        l_bracket_residual, load_table, required_degree,
-                       save_table)
+                       save_table, table_audit)
 from .witt import (LatticeFockElement, WittVector, Y_multiplicativity_check,
                    closure_report, ghost, hl_q_gen, lattice_action_obj,
                    lattice_apply, lattice_from_json, lattice_grading_audit,
@@ -62,6 +62,8 @@ _MAX_TABLE_WEIGHT = 13   # intersection generating-function weight
 _MAX_FOCK_WEIGHT = 10    # virasoro-check monomial weight
 _MAX_MODE = 6            # virasoro mode indices
 _MAX_VOA_CAP = 12        # vertex-operator weight caps
+_MAX_VOA_WINDOW = 64     # voa y-check z-exponent window
+_MAX_ROOT_ORDER = 64     # voa closure root-of-unity order
 _MAX_CPN = 12            # kw --cpn degree; memory grows ~5x per two degrees
 _MAX_POINTS = 10_000     # epsilon-table rows
 
@@ -76,8 +78,6 @@ class RunConfig:
     byte-identical stdout."""
 
     subcommand: str
-    orders: tuple[int, ...] = ()
-    primes: tuple[int, ...] = ()
     cache_path: Path | None = None
     fmt: str = "pretty"
     verbosity: int = 0
@@ -85,18 +85,10 @@ class RunConfig:
     def __post_init__(self):
         if self.fmt not in ("pretty", "json", "csv"):
             raise DomainError(f"unknown output format {self.fmt!r}")
-        for o in self.orders:
-            if not 0 <= o <= 64:
-                raise DomainError(
-                    f"order {o} is outside the desk-scale window [0, 64]")
-        for p in self.primes:
-            if p < 2:
-                raise DomainError(f"{p} is not a valid prime")
 
 
-def _config(obj: dict, subcommand: str, *, orders=(), primes=()) -> RunConfig:
-    return RunConfig(subcommand=subcommand, orders=tuple(orders),
-                     primes=tuple(primes), cache_path=obj.get("cache_path"),
+def _config(obj: dict, subcommand: str) -> RunConfig:
+    return RunConfig(subcommand=subcommand, cache_path=obj.get("cache_path"),
                      fmt=obj["fmt"], verbosity=obj["verbosity"])
 
 
@@ -524,13 +516,16 @@ def _tau_label(K: tuple[int, ...]) -> str:
                    "at most this.")
 @click.option("--no-cache", is_flag=True,
               help="Compute fresh; do not read or write the cache file.")
+@click.option("--audit", is_flag=True,
+              help="Audit every entry of the final table; faults go to "
+                   "stderr and exit 1.")
 @click.pass_obj
-def intersection(obj, max_weight, no_cache):
+def intersection(obj, max_weight, no_cache, audit):
     """Closed intersection-number table, built by the annihilation
     recursion and persisted to a versioned JSON cache (atomic writes; a
     corrupt, mismatched or wrong-valued cache is regenerated with a
     warning)."""
-    cfg = _config(obj, "intersection", orders=(max_weight,))
+    cfg = _config(obj, "intersection")
     _require(0 <= max_weight <= _MAX_TABLE_WEIGHT,
              f"--max-weight is capped at {_MAX_TABLE_WEIGHT} (desk scale)")
     need = required_degree(max_weight)
@@ -555,6 +550,15 @@ def intersection(obj, max_weight, no_cache):
               [[",".join(str(c) for c in K), index_stats(K)[0], genus_of(K),
                 index_stats(K)[1], correlator_weight(K), str(v),
                 repr(float(v))] for K, v in chosen]))
+    if audit:
+        faults = table_audit(table)
+        for fault in faults:
+            click.echo(f"audit fault: {fault}", err=True)
+        click.echo(f"audit: {len(faults) or 'no'} faults in "
+                   f"{len(table.values)} entries through degree "
+                   f"{table.complete_through}", err=True)
+        if faults:
+            sys.exit(1)
 
 
 def _x_monomials(bound: int):
@@ -584,7 +588,7 @@ def virasoro_check(obj, m, n, max_weight):
     """Verify one bracket relation of the degree operators on the
     oscillator representation; prints the central term and exits
     nonzero if any monomial witnesses a failure."""
-    cfg = _config(obj, "virasoro-check", orders=(max_weight,))
+    cfg = _config(obj, "virasoro-check")
     _require(abs(m) <= _MAX_MODE and abs(n) <= _MAX_MODE,
              f"mode indices are capped at |m|, |n| <= {_MAX_MODE}")
     _require(0 <= max_weight <= _MAX_FOCK_WEIGHT,
@@ -639,7 +643,7 @@ def kw(obj, cpn, integrality, modp):
              "pass exactly one of --cpn, --integrality, --modp")
 
     if cpn is not None:
-        cfg = _config(obj, "kw", orders=(cpn,))
+        cfg = _config(obj, "kw")
         _require(0 <= cpn <= _MAX_CPN,
                  f"--cpn is capped at {_MAX_CPN} (desk scale)")
         p = projective_image(cpn)
@@ -652,7 +656,7 @@ def kw(obj, cpn, integrality, modp):
         return
 
     if integrality is not None:
-        cfg = _config(obj, "kw", orders=(integrality,))
+        cfg = _config(obj, "kw")
         _require(2 <= integrality <= _MAX_ORDER,
                  f"--integrality is capped at {_MAX_ORDER}")
         bad = []
@@ -671,7 +675,7 @@ def kw(obj, cpn, integrality, modp):
             sys.exit(1)
         return
 
-    cfg = _config(obj, "kw", primes=(modp,))
+    cfg = _config(obj, "kw")
     _require(modp in (3, 5, 7, 11, 13),
              "--modp expects an odd prime up to 13")
     cutoff = (modp + 1) // 2
@@ -855,7 +859,7 @@ def _witt_from(coeffs: str, order: int | None, what: str) -> WittVector:
 def witt_ghost(obj, coeffs, order):
     """Ghost coordinates of the vector COEFFS."""
     h = _witt_from(coeffs, order, "COEFFS")
-    cfg = _config(obj, "witt ghost", orders=(h.order,))
+    cfg = _config(obj, "witt ghost")
     g = ghost(h)
     _emit(cfg,
           pretty=[f"g{n} = {g[n]}" for n in range(1, h.order + 1)],
@@ -877,7 +881,7 @@ def witt_mul_cmd(obj, left, right):
     b = _witt_from(right, None, "RIGHT")
     _require(a.order == b.order,
              "LEFT and RIGHT must have the same number of coefficients")
-    cfg = _config(obj, "witt mul", orders=(a.order,))
+    cfg = _config(obj, "witt mul")
     prod = witt_mul(a, b)
     cs = [prod.coefficient(i) for i in range(1, prod.order + 1)]
     _emit(cfg,
@@ -897,7 +901,7 @@ def witt_qcheck(obj, coeffs, order):
     """Square-free parity criterion h(-T) = h(T)^(-1); exits nonzero
     with the residual when it fails."""
     h = _witt_from(coeffs, order, "COEFFS")
-    cfg = _config(obj, "witt qcheck", orders=(h.order,))
+    cfg = _config(obj, "witt qcheck")
     w = q_subfunctor_check(h)
     pretty = [f"square-free parity: {'pass' if w.ok else 'FAIL'}"]
     if not w.ok:
@@ -934,10 +938,12 @@ def voa_y_check(obj, b_str, bp_str, window, weight_cap, t_str):
     """Multiplicativity of the operator assignment on a product of two
     elements, compared entry by entry inside the window.  Exits nonzero
     on failure and on an inconclusive (contentless) window."""
-    cfg = _config(obj, "voa y-check", orders=(weight_cap, window))
+    cfg = _config(obj, "voa y-check")
     _require(1 <= weight_cap <= _MAX_VOA_CAP,
              f"--weight-cap must be in [1, {_MAX_VOA_CAP}]")
     _require(window >= 0, "--window must be nonnegative")
+    _require(window <= _MAX_VOA_WINDOW,
+             f"--window is capped at {_MAX_VOA_WINDOW}")
     b = parse_p_expr(b_str, "--b")
     bp = parse_p_expr(bp_str, "--bprime")
     t = _parse_scalar(t_str, "--t")
@@ -966,7 +972,7 @@ def voa_y_check(obj, b_str, bp_str, window, weight_cap, t_str):
 @click.pass_obj
 def voa_table(obj, n, t_str, weight_cap):
     """Laurent-coefficient table of one power-sum operator."""
-    cfg = _config(obj, "voa table", orders=(weight_cap,))
+    cfg = _config(obj, "voa table")
     _require(1 <= weight_cap <= _MAX_VOA_CAP,
              f"--weight-cap must be in [1, {_MAX_VOA_CAP}]")
     t = _parse_scalar(t_str, "--t")
@@ -991,9 +997,11 @@ def voa_closure(obj, n, order, weight_cap):
     """Does the operator stay inside the root-of-unity quotient?  Prime
     orders are computed on an exact cyclotomic table; composite orders
     use the divisibility criterion directly."""
-    cfg = _config(obj, "voa closure", orders=(weight_cap, order))
+    cfg = _config(obj, "voa closure")
     _require(1 <= weight_cap <= _MAX_VOA_CAP,
              f"--weight-cap must be in [1, {_MAX_VOA_CAP}]")
+    _require(order <= _MAX_ROOT_ORDER,
+             f"--order is capped at {_MAX_ROOT_ORDER}")
     r = closure_report(n, order, weight_cap=weight_cap)
     _emit(cfg,
           pretty=[f"method: {r.method}",
@@ -1024,7 +1032,7 @@ def voa_lattice(obj, gram_file, point_str, target_str, weight_cap):
     """Action of a lattice vertex operator on a sector vacuum: emits the
     Laurent table and runs the grading audit (exit nonzero on
     violations)."""
-    cfg = _config(obj, "voa lattice", orders=(weight_cap,))
+    cfg = _config(obj, "voa lattice")
     _require(1 <= weight_cap <= _MAX_VOA_CAP,
              f"--weight-cap must be in [1, {_MAX_VOA_CAP}]")
     lattice = lattice_from_json(gram_file.read_text())

@@ -224,6 +224,8 @@ class IntersectionTable:
     terms of entries whose total degree is strictly smaller, so filling the
     table in order of total degree needs no seed beyond the two boundary
     contributions the nc = -1 and nc = 0 constraints carry themselves.
+    The recursion runs on the integers N(K) = 2^(4g+n-2) prod (2d_i+1)!!
+    <K> (see :func:`_constraint`); ``values`` holds the numbers <K>.
     """
 
     def __init__(self):
@@ -261,77 +263,27 @@ class IntersectionTable:
 
     # -- construction --------------------------------------------------------
     def build_through(self, s_max: int) -> "IntersectionTable":
+        if s_max + 3 > _FIELD_MASK:
+            raise DomainError(
+                f"degree {s_max} needs insertion counts up to {s_max + 3}, "
+                f"beyond the {_FIELD_BITS}-bit fields of a table key")
+        scaled = _ScaledEntries(self.values)
         for s in range(self.complete_through + 1, s_max + 1):
+            # a degree joins the table whole, or not at all if it raises
+            built = []
             for K in _valid_indices_of_degree(s):
-                self.values[K] = self._constraint_value(K)
+                key = _pack(K)
+                scaled[key] = v = _constraint(K, key, scaled)
+                built.append((K, Fraction(v, _scale(K))))
+            self.values.update(built)
             self.complete_through = s
         return self
 
     def _constraint_value(self, T: MultiIndex) -> Fraction:
-        # Every index looked up below is a valid entry of degree below T's
-        # (the dimension filter on the splittings guarantees it), so a
-        # missing key can only mean an unbuilt entry.
-        try:
-            return self._constraint_sum(T)
-        except KeyError as e:
-            raise TruncationError(
-                f"table incomplete: entry {e.args[0]} not built yet") from None
-
-    def _constraint_sum(self, T: MultiIndex) -> Fraction:
-        values = self.values
-        d = len(T) - 1
-        nc = d - 1 if d else -1
-        base = list(T)
-        base[d] -= 1
-        base = _strip(base)
-        n, s = index_stats(T)
-        g3 = s - n + 3                  # 3 * genus
-        # The sum is kept as integer numerators, one per denominator, so
-        # only a handful of Fractions are built per entry.
-        acc: dict[int, int] = {}
-        # transport sum: one insertion moves up by nc
-        for m, cnt in enumerate(base):
-            if cnt and m + nc >= 0:
-                child = list(base) + [0] * (m + nc + 1 - len(base))
-                child[m] -= 1
-                child[m + nc] += 1
-                v = values[_strip(child)]
-                den = double_factorial(2 * m - 1) * v.denominator
-                acc[den] = (acc.get(den, 0) + cnt * v.numerator
-                            * double_factorial(2 * (m + nc) + 1))
-        # quadratic part: connected + all disconnected splittings, weighted
-        # by (2j+1)!! (2jp+1)!! / 2.  The summand is symmetric under
-        # (A, j) <-> (B, jp), so each j < jp pair is summed once, doubled.
-        j_top = (nc - 1) // 2
-        splits = _splittings(base, -j_top, g3) if nc > 0 else ((), (), ())
-        for j in range(j_top + 1):
-            jp = nc - 1 - j
-            w = double_factorial(2 * j + 1) * double_factorial(2 * jp + 1)
-            half = 1 if j < jp else 2
-            if g3:
-                conn = list(base) + [0] * (jp + 1 - len(base))
-                conn[j] += 1
-                conn[jp] += 1
-                v = values[_strip(conn)]
-                den = half * v.denominator
-                acc[den] = acc.get(den, 0) + w * v.numerator
-            # A + e_j is an entry iff t_A + j is a non-negative multiple of
-            # 3, and then B + e_jp is one iff t_A + j <= 3g
-            for A, B, mult, t in splits[-j % 3]:
-                if 0 <= t + j <= g3:
-                    a = values[_plus(A, j)]
-                    b = values[_plus(B, jp)]
-                    den = half * a.denominator * b.denominator
-                    acc[den] = (acc.get(den, 0)
-                                + w * mult * a.numerator * b.numerator)
-        # boundary contributions carried by the lowest two constraints
-        if nc == -1 and base == (2,):
-            acc[1] = acc.get(1, 0) + 1
-        if nc == 0 and base == ():
-            acc[8] = acc.get(8, 0) + 1
-        total = sum((Fraction(num, den) for den, num in acc.items()),
-                    Fraction(0))
-        return total / double_factorial(2 * nc + 3)
+        """The entry for T re-derived from its constraint, with every input
+        read from ``values``."""
+        return Fraction(_constraint(T, _pack(T), _ScaledEntries(self.values)),
+                        _scale(T))
 
     # -- serialization -------------------------------------------------------
     def to_obj(self) -> dict:
@@ -396,43 +348,148 @@ def _partitions_at_most(s: int, n_parts: int):
     yield from rec(s, s, n_parts)
 
 
-def _strip(K) -> MultiIndex:
-    """The key of a padded count list: trailing zeros dropped."""
-    n = len(K)
-    while n and not K[n - 1]:
-        n -= 1
-    return tuple(K[:n])
+# The recursion runs on packed keys and scaled integer values.  A key holds
+# the count K_d in bits [8d, 8d + 8) of one int, so K + e_d is one addition;
+# a count above 255 would spill into the next field, so it raises instead.
+_FIELD_BITS = 8
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_UNIT = tuple(1 << (_FIELD_BITS * d) for d in range(_FIELD_MASK + 1))
 
 
-def _plus(K: MultiIndex, j: int) -> MultiIndex:
-    """K + e_j for a key K (no validation)."""
-    if j < len(K):
-        return K[:j] + (K[j] + 1,) + K[j + 1:]
-    return K + (0,) * (j - len(K)) + (1,)
+def _pack(K: Iterable[int]) -> int:
+    key = 0
+    for d, c in enumerate(K):
+        if not 0 <= c <= _FIELD_MASK:
+            raise DomainError(
+                f"count {c} of tau_{d} does not fit a {_FIELD_BITS}-bit "
+                f"table-key field")
+        key += c * _UNIT[d]
+    return key
 
 
-def _splittings(K: MultiIndex, lo: int, hi: int):
-    """The componentwise splittings A + B = K with lo <= t <= hi, as
-    (A, B, mult, t) with mult = prod C(K_i, A_i) and t = s_A - n_A + 2,
-    grouped by t mod 3.  A and B come out as keys (no trailing zeros)."""
-    def cons(a, A):
-        return (a,) + A if a or A else ()
+def _unpack(key: int) -> MultiIndex:
+    K = []
+    while key:
+        K.append(key & _FIELD_MASK)
+        key >>= _FIELD_BITS
+    return tuple(K)
 
-    # Positions >= 1 only raise t and position 0 lowers it by at most K_0,
-    # so build from the top down, drop a partial splitting once t passes
-    # hi + K_0, and pick A_0 last from the range that lands t in [lo, hi].
-    c0 = K[0] if K else 0
-    parts = [((), (), 1, 2)]
-    for i in range(len(K) - 1, 0, -1):
-        c = K[i]
-        parts = [(cons(a, A), cons(c - a, B), mult * comb(c, a), t + (i - 1) * a)
-                 for A, B, mult, t in parts for a in range(c + 1)
-                 if t + (i - 1) * a <= hi + c0]
+
+def _scale(K: MultiIndex) -> int:
+    """2^(4g+n-2) * prod_i (2d_i+1)!! for a valid entry K.  Scaled by it,
+    every intersection number is an integer, and the constraints of
+    :func:`_constraint` have integer coefficients."""
+    n, s = index_stats(K)
+    f = 1 << (4 * ((s - n + 3) // 3) + n - 2)
+    for d, c in enumerate(K):
+        if c and d:
+            f *= double_factorial(2 * d + 1) ** c
+    return f
+
+
+def _scaled(K: MultiIndex, v: Fraction) -> int:
+    """The scaled integer of a stored value; a value that does not scale to
+    an integer is not an intersection number and is never truncated."""
+    N, rem = divmod(v.numerator * _scale(K), v.denominator)
+    if rem:
+        raise DomainError(
+            f"{K} = {v} is not an intersection number: scaled by "
+            f"2^(4g+n-2)*prod (2d+1)!! it is not an integer")
+    return N
+
+
+class _ScaledEntries(dict):
+    """Scaled entries by packed key.  An entry not set in this pass is
+    scaled from the table's ``values`` on first use, so a build continues
+    a loaded or partial table and an audit reads what the table holds."""
+
+    def __init__(self, values: Mapping[MultiIndex, Fraction]):
+        super().__init__()
+        self.values = values
+
+    def __missing__(self, key: int) -> int:
+        K = _unpack(key)
+        try:
+            v = self.values[K]
+        except KeyError:
+            raise TruncationError(
+                f"table incomplete: entry {K} not built yet") from None
+        self[key] = N = _scaled(K, v)
+        return N
+
+
+def _constraint(T: MultiIndex, key: int, N: Mapping[int, int]) -> int:
+    """The scaled entry N(T) from the constraint indexed nc = d - 1 (d the
+    top degree of T), reading lower-degree entries from N.  With
+    base = T - e_d, h_j = 1 for j < jp and 2 for j = jp:
+
+        N(T) = 2 sum_m base_m (2m+1) N(base - e_m + e_(m+nc))
+             + sum_(j+jp=nc-1, j<=jp) (2/h_j) [4 N(base + e_j + e_jp)
+                 + sum_(A+B=base) mult N(A + e_j) N(B + e_jp)]
+             + 2 for <tau_0^3>, 1 for <tau_1>.
+
+    Every key looked up is a valid entry of lower degree (the dimension
+    filter on the splittings guarantees it)."""
+    d = len(T) - 1
+    nc = d - 1 if d else -1
+    base = list(T)
+    base[d] -= 1
+    key -= _UNIT[d]
+    n, s = index_stats(T)
+    g3 = s - n + 3                  # 3 * genus
+    # transport sum: one insertion moves up by nc
+    total = 0
+    for m, cnt in enumerate(base):
+        if cnt and m + nc >= 0:
+            total += cnt * (2 * m + 1) * N[key - _UNIT[m] + _UNIT[m + nc]]
+    total *= 2
+    # quadratic part: connected + all disconnected splittings.  The summand
+    # is symmetric under (A, j) <-> (B, jp), so each j < jp pair is summed
+    # once, doubled.
+    if nc > 0:
+        j_top = (nc - 1) // 2
+        splits = _splittings(base, key, -j_top, g3)
+        for j in range(j_top + 1):
+            jp = nc - 1 - j
+            uj, ujp = _UNIT[j], _UNIT[jp]
+            part = 4 * N[key + uj + ujp] if g3 else 0
+            # A + e_j is an entry iff t_A + j is a non-negative multiple of
+            # 3, and then B + e_jp is one iff t_A + j <= 3g
+            for A, B, mult, t in splits[-j % 3]:
+                if 0 <= t + j <= g3:
+                    part += mult * N[A + uj] * N[B + ujp]
+            total += 2 * part if j < jp else part
+    # boundary contributions carried by the lowest two constraints
+    if nc == -1 and base == [2]:
+        total += 2
+    elif nc == 0 and not key:
+        total += 1
+    return total
+
+
+def _splittings(base: list[int], key: int, lo: int, hi: int):
+    """The componentwise splittings A + B = base (``key`` packs base) with
+    lo <= t <= hi, as (A, B, mult, t): A and B packed, mult = prod
+    C(base_i, A_i) and t = s_A - n_A + 2, grouped by t mod 3."""
+    # Positions >= 1 only raise t and position 0 lowers it by at most
+    # base_0, so build from the top down, drop a partial splitting once t
+    # passes hi + base_0, and pick A_0 last from the range that lands t in
+    # [lo, hi].
+    c0 = base[0]
+    parts = [(0, 1, 2)]
+    for i in range(len(base) - 1, 0, -1):
+        c = base[i]
+        if c:
+            u = _UNIT[i]
+            parts = [(A + a * u, mult * comb(c, a), t + (i - 1) * a)
+                     for A, mult, t in parts for a in range(c + 1)
+                     if t + (i - 1) * a <= hi + c0]
     groups = ([], [], [])
-    for A, B, mult, t in parts:
+    row = [comb(c0, a) for a in range(c0 + 1)]
+    for A, mult, t in parts:
         for a in range(max(t - hi, 0), min(t - lo, c0) + 1):
             groups[(t - a) % 3].append(
-                (cons(a, A), cons(c0 - a, B), mult * comb(c0, a), t - a))
+                (A + a, key - A - a, mult * row[a], t - a))
     return groups
 
 
@@ -492,7 +549,16 @@ def table_audit(table: IntersectionTable) -> list[str]:
     if len(values) != count:
         return [f"{len(values) - count} entries are not valid indices of "
                 f"degree <= {table.complete_through}"]
+    # a value that does not scale to an integer is wrong on its face, and
+    # the constraint route below could not read it
     faults = []
+    for K, v in sorted(values.items()):
+        try:
+            _scaled(K, v)
+        except DomainError as e:
+            faults.append(str(e))
+    if faults:
+        return faults
     for K, v in sorted(values.items()):
         n, s = index_stats(K)
         g = (s - n + 3) // 3
@@ -505,7 +571,7 @@ def table_audit(table: IntersectionTable) -> list[str]:
             X = list(K)
             X[1] -= 1
             want.append(("dilaton relation",
-                         (2 * g - 3 + n) * values[_strip(X)]))
+                         (2 * g - 3 + n) * values[canon_index(X)]))
         if not want:
             want.append(("constraint", table._constraint_value(K)))
         faults += [f"{K} = {v}, {route} gives {w}"

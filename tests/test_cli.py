@@ -8,10 +8,11 @@ import hashlib
 import json
 import os
 import re
-import resource
 import shlex
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +26,7 @@ from qgenus.errors import DomainError
 from qgenus.qfunctions import QElement
 from qgenus.rings import SparsePoly, UPS
 from qgenus.series import TruncatedSeries
+from qgenus.virasoro import IntersectionTable
 
 runner = CliRunner()
 
@@ -79,10 +81,6 @@ class TestGrammar:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             RunConfig("x", fmt="yaml")
-        with pytest.raises(DomainError):
-            RunConfig("x", orders=(100,))
-        with pytest.raises(DomainError):
-            RunConfig("x", primes=(1,))
 
     def test_series_renderer(self):
         ts = TruncatedSeries.univariate(
@@ -234,6 +232,43 @@ class TestIntersection:
 
     def test_weight_cap(self):
         assert run("intersection", "--max-weight", "40").exit_code == 2
+
+    def test_audit_of_a_clean_table(self, tmp_path):
+        cache = tmp_path / "table.json"
+        r = run("--cache-path", str(cache), "intersection",
+                "--max-weight", "13", "--audit")
+        assert r.exit_code == 0, r.stderr
+        assert r.stderr == "audit: no faults in 70 entries through degree 6\n"
+        fresh = run("intersection", "--max-weight", "13", "--no-cache")
+        assert r.stdout == fresh.stdout
+        warm = run("--cache-path", str(cache), "intersection",
+                   "--max-weight", "13", "--audit")
+        assert (warm.exit_code, warm.stdout) == (0, fresh.stdout)
+
+    def test_audit_after_a_corrupted_cache(self, tmp_path):
+        # the load audit rejects the cache, the table is rebuilt, and the
+        # audit of the rebuilt table is clean
+        cache = tmp_path / "table.json"
+        run("--cache-path", str(cache), "intersection", "--max-weight", "13")
+        cache.write_text(cache.read_text().replace('"29/5760"', '"29/5761"'))
+        r = run("--cache-path", str(cache), "intersection",
+                "--max-weight", "13", "--audit")
+        assert r.exit_code == 0
+        assert "fails its audit" in r.stderr and "no faults" in r.stderr
+        fresh = run("intersection", "--max-weight", "13", "--no-cache")
+        assert r.stdout == fresh.stdout
+
+    def test_audit_fault_exits_one(self, tmp_path, monkeypatch):
+        # a table served without the load audit (as a defect would) is
+        # caught by --audit: faults on stderr, exit 1, stdout unchanged
+        built = IntersectionTable().build_through(6)
+        built.values[(0, 0, 1, 1)] = Fraction(29, 5759)
+        monkeypatch.setattr("qgenus.cli._load_table", lambda path: built)
+        r = run("--cache-path", str(tmp_path / "t.json"), "intersection",
+                "--max-weight", "13", "--audit")
+        assert r.exit_code == 1
+        assert "audit fault: (0, 0, 1, 1) = 29/5759" in r.stderr
+        assert "<tau_2 tau_3> = 29/5759" in r.stdout.splitlines()
 
     def test_determinism(self):
         a = run("-f", "json", "intersection", "--max-weight", "5",
@@ -538,6 +573,18 @@ class TestVoaCommands:
 # ---------------------------------------------------------------------------
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv,msg", [
+        (("intersection", "--max-weight", "100"),
+         "--max-weight is capped at 13"),
+        (("voa", "y-check", "--b", "p1", "--bprime", "p2",
+          "--window", "100"), "--window is capped at 64"),
+        (("voa", "closure", "--n", "1", "--order", "100"),
+         "--order is capped at 64")],
+        ids=["intersection-weight", "y-check-window", "closure-order"])
+    def test_each_command_names_its_own_cap(self, argv, msg):
+        r = run(*argv)
+        assert r.exit_code == 2 and msg in r.stderr
+
     def test_usage_error_is_two(self):
         assert run("qreduce").exit_code == 2          # missing argument
         assert run("nonsense").exit_code == 2          # unknown subcommand
@@ -559,52 +606,109 @@ class TestExitCodes:
 
 # ---------------------------------------------------------------------------
 # cap ladder: commands at their documented caps, each in a child process
-# under a wall-clock budget and a 3 GiB address-space limit
+# under a wall-clock budget, a 3 GiB address-space limit and a peak-RSS
+# ceiling
 # ---------------------------------------------------------------------------
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 _ADDRESS_SPACE = 3 * 1024 ** 3
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+# The ladder runs each command under this small launcher: it limits its
+# address space, spawns the command and reports the command's own peak RSS
+# from os.wait4.  Spawned straight from the test process, the command's
+# ru_maxrss would include that process's resident size, which the kernel
+# carries across fork and exec.
+_LAUNCHER = """
+import os, resource, sys
+limit, report, argv = int(sys.argv[1]), sys.argv[2], sys.argv[3:]
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+pid = os.posix_spawn(sys.executable,
+                     [sys.executable, "-m", "qgenus.cli", *argv], os.environ)
+_, status, usage = os.wait4(pid, 0)
+with open(report, "w") as fh:
+    fh.write(str(usage.ru_maxrss))
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def _run_child(argv, env, budget, tmp_path):
+    """Run qgenus in a child process, killed after ``budget`` seconds:
+    (exit code, stdout, stderr, wall seconds, peak RSS in MB)."""
+    report = tmp_path / "peak_rss_kb"
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        p = subprocess.Popen(
+            [sys.executable, "-c", _LAUNCHER, str(_ADDRESS_SPACE),
+             str(report), *argv],
+            stdout=out, stderr=err, env=env, start_new_session=True)
+        try:
+            code = p.wait(timeout=budget)
+        except subprocess.TimeoutExpired:
+            os.killpg(p.pid, signal.SIGKILL)
+            p.wait()
+            pytest.fail(f"{argv} ran over its {budget} s budget")
+        elapsed = time.perf_counter() - start
+        out.seek(0)
+        err.seek(0)
+        return (code, out.read(), err.read(), elapsed,
+                int(report.read_text()) / 1024)
 
 
 _LATTICE_CAP = ("voa", "lattice", "--gram", "@gram", "--point", "1,1",
                 "--weight-cap", "12")
+_TABLE_CAP = ("intersection", "--max-weight", "13")
 
-# (argv, budget in seconds, sha256 of stdout or None); the digests were
-# taken before the normal-ordered lattice operator
+# (argv, budget in seconds, sha256 of stdout or None, peak-RSS ceiling in
+# MB).  The lattice digests were taken before the normal-ordered lattice
+# operator, the intersection digests before the integer table kernel.  At
+# those commits the peaks were 21 MB (lattice), 20 MB (intersection) and
+# 234 MB (kw --cpn 12).
 CAP_LADDER = [
     pytest.param(
         _LATTICE_CAP, 20,
         "34aee269e84b414e8aa6c8b72c158326b947a0dc9def18ba30f699c4e76d12d2",
-        id="voa-lattice-12"),
+        48, id="voa-lattice-12"),
     pytest.param(
         ("-f", "json") + _LATTICE_CAP, 20,
         "2b3bfb53446cde85e0f5ff44e5a0af096c40c64cb52c03c0f92c42196385a4b2",
-        id="voa-lattice-12-json"),
-    pytest.param(("kw", "--cpn", "12"), 60, None, id="kw-cpn-12"),
+        48, id="voa-lattice-12-json"),
+    pytest.param(("kw", "--cpn", "12"), 60, None, 320, id="kw-cpn-12"),
+    pytest.param(
+        _TABLE_CAP, 10,
+        "cd2d831a85ddd9e754ea75ee402b70973acc4ced3bcd33ff1bab43e130bfee36",
+        48, id="intersection-13"),
+    pytest.param(
+        ("-f", "json") + _TABLE_CAP, 10,
+        "1ec601bb5ae59672dda506456adaef9ca13ec181a278ec7b239c69f4dcab3f1a",
+        48, id="intersection-13-json"),
+    pytest.param(
+        ("-f", "csv") + _TABLE_CAP, 10,
+        "394498431e6ff8d1e0a072feb9692638f45903ea163ec1ea56799ffec527073a",
+        48, id="intersection-13-csv"),
 ]
 
 
-@pytest.mark.parametrize("argv,budget,digest", CAP_LADDER)
-def test_cap_ladder(argv, budget, digest, tmp_path):
+@pytest.mark.parametrize("argv,budget,digest,rss_mb", CAP_LADDER)
+def test_cap_ladder(argv, budget, digest, rss_mb, tmp_path):
     gram = tmp_path / "gram.json"
     gram.write_text("[[2,1],[1,2]]")
     argv = [str(gram) if a == "@gram" else a for a in argv]
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, QGENUS_CACHE_DIR=str(tmp_path),
                PYTHONPATH=str(_SRC) + (os.pathsep + path if path else ""))
-    start = time.perf_counter()
-    r = subprocess.run([sys.executable, "-m", "qgenus.cli", *argv],
-                       capture_output=True, env=env, timeout=budget,
-                       preexec_fn=_limit_address_space)
-    elapsed = time.perf_counter() - start
-    assert r.returncode == 0, r.stderr.decode()
-    assert elapsed < budget
-    if digest is not None:
-        assert hashlib.sha256(r.stdout).hexdigest() == digest
+    runs = [argv]
+    if "intersection" in argv:
+        # cold cache, then warm cache, then no cache: the same bytes
+        runs += [argv, argv + ["--no-cache"]]
+    for args in runs:
+        code, out, err, elapsed, peak = _run_child(args, env, budget,
+                                                   tmp_path)
+        assert code == 0, err.decode()
+        assert elapsed < budget
+        assert peak < rss_mb, f"peak RSS {peak:.1f} MB, ceiling {rss_mb} MB"
+        if digest is not None:
+            assert hashlib.sha256(out).hexdigest() == digest, args
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,17 @@
 string-equation and genus-0 closed forms as independent oracles."""
 
 import hashlib
+import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qgenus.errors import DomainError, TruncationError
-from qgenus.rings import SparsePoly, UT, UX
+from qgenus.rings import SparsePoly, UT, UX, double_factorial
 from qgenus.virasoro import (AnnihilationReport, FockPoly, IntersectionTable,
+                             _pack, _unpack,
                              alpha_apply, annihilation_check, canon_index,
                              correlator_weight, counts_from_degrees,
                              free_energy, genus_of, genus_zero_closed_form,
@@ -170,6 +172,8 @@ def test_invalid_entries_are_rejected(table):
 FROZEN_DUMPS_SHA256 = {
     11: "3e2c0e81050ca1107f3739fe662e68191f91190971a0eff9e0a1dcd5488a9ae1",
     13: "a8e6c12ab6a727e4babc4e59a28287d9cb27364f862945f0e345d640f4e618b4",
+    14: "18cfb416d9a9b56c62a2499d6ffd26ce23cc6fda9fdbb67ff764b601ce933144",
+    16: "10a1a16ae9a8ae68a89e5c04c13d2adcdb7ac2f63b4f74aaa67469f5e039bbad",
 }
 
 
@@ -200,6 +204,141 @@ def test_unbuilt_entry_raises_truncation():
     del part.values[(0, 0, 0, 0, 1)]
     with pytest.raises(TruncationError):
         part._constraint_value((1, 0, 0, 0, 0, 1))
+
+
+# ---- the constraint on Fractions, as the table kernel computed it before
+# it moved to scaled integers on packed keys: the reference for that kernel
+
+def _ref_strip(K):
+    n = len(K)
+    while n and not K[n - 1]:
+        n -= 1
+    return tuple(K[:n])
+
+
+def _ref_plus(K, j):
+    if j < len(K):
+        return K[:j] + (K[j] + 1,) + K[j + 1:]
+    return K + (0,) * (j - len(K)) + (1,)
+
+
+def _ref_splittings(K, lo, hi):
+    def cons(a, A):
+        return (a,) + A if a or A else ()
+
+    c0 = K[0] if K else 0
+    parts = [((), (), 1, 2)]
+    for i in range(len(K) - 1, 0, -1):
+        c = K[i]
+        parts = [(cons(a, A), cons(c - a, B), mult * comb(c, a), t + (i - 1) * a)
+                 for A, B, mult, t in parts for a in range(c + 1)
+                 if t + (i - 1) * a <= hi + c0]
+    groups = ([], [], [])
+    for A, B, mult, t in parts:
+        for a in range(max(t - hi, 0), min(t - lo, c0) + 1):
+            groups[(t - a) % 3].append(
+                (cons(a, A), cons(c0 - a, B), mult * comb(c0, a), t - a))
+    return groups
+
+
+def _ref_constraint_sum(values, T):
+    d = len(T) - 1
+    nc = d - 1 if d else -1
+    base = list(T)
+    base[d] -= 1
+    base = _ref_strip(base)
+    n, s = index_stats(T)
+    g3 = s - n + 3
+    acc = {}
+    for m, cnt in enumerate(base):
+        if cnt and m + nc >= 0:
+            child = list(base) + [0] * (m + nc + 1 - len(base))
+            child[m] -= 1
+            child[m + nc] += 1
+            v = values[_ref_strip(child)]
+            den = double_factorial(2 * m - 1) * v.denominator
+            acc[den] = (acc.get(den, 0) + cnt * v.numerator
+                        * double_factorial(2 * (m + nc) + 1))
+    j_top = (nc - 1) // 2
+    splits = _ref_splittings(base, -j_top, g3) if nc > 0 else ((), (), ())
+    for j in range(j_top + 1):
+        jp = nc - 1 - j
+        w = double_factorial(2 * j + 1) * double_factorial(2 * jp + 1)
+        half = 1 if j < jp else 2
+        if g3:
+            conn = list(base) + [0] * (jp + 1 - len(base))
+            conn[j] += 1
+            conn[jp] += 1
+            v = values[_ref_strip(conn)]
+            den = half * v.denominator
+            acc[den] = acc.get(den, 0) + w * v.numerator
+        for A, B, mult, t in splits[-j % 3]:
+            if 0 <= t + j <= g3:
+                a = values[_ref_plus(A, j)]
+                b = values[_ref_plus(B, jp)]
+                den = half * a.denominator * b.denominator
+                acc[den] = (acc.get(den, 0)
+                            + w * mult * a.numerator * b.numerator)
+    if nc == -1 and base == (2,):
+        acc[1] = acc.get(1, 0) + 1
+    if nc == 0 and base == ():
+        acc[8] = acc.get(8, 0) + 1
+    total = sum((Fraction(num, den) for den, num in acc.items()),
+                Fraction(0))
+    return total / double_factorial(2 * nc + 3)
+
+
+@pytest.fixture(scope="module")
+def table13():
+    return IntersectionTable().build_through(13)
+
+
+def test_kernel_matches_fraction_reference(table):
+    for K, v in table.entries():
+        assert v == _ref_constraint_sum(table.values, K), K
+
+
+def test_constraint_value_matches_fraction_reference(table13):
+    entries = sorted(table13.values)
+    for K in random.Random(6).sample(entries, 120) + entries[-20:]:
+        want = _ref_constraint_sum(table13.values, K)
+        assert table13._constraint_value(K) == want == table13.values[K], K
+
+
+def test_continued_build_equals_fresh_build(table13):
+    partial = IntersectionTable().build_through(7)
+    assert partial.build_through(13).dumps() == table13.dumps()
+    loaded = IntersectionTable.loads(IntersectionTable().build_through(7).dumps())
+    assert loaded.build_through(13).dumps() == table13.dumps()
+
+
+def test_key_field_overflow_raises_at_the_boundary():
+    assert _unpack(_pack((255, 0, 3))) == (255, 0, 3)
+    with pytest.raises(DomainError):
+        _pack((256,))
+    with pytest.raises(DomainError):
+        _pack((1, 0, 256))
+    # degree 252 still fits every count (at most 255); degree 253 does not,
+    # and the build refuses it before touching the table
+    part = IntersectionTable().build_through(2)
+    with pytest.raises(DomainError):
+        part.build_through(253)
+    assert part.complete_through == 2
+
+
+def test_non_dyadic_value_is_rejected_not_truncated():
+    # 2^8 * 5!! * 7!! * 29/5761 is not an integer, so no true intersection
+    # number can be 29/5761 at <tau_2 tau_3>_2
+    bad = IntersectionTable.loads(IntersectionTable().build_through(7).dumps())
+    bad.values[(0, 0, 1, 1)] = F(29, 5761)
+    size = len(bad.values)
+    with pytest.raises(DomainError, match="not an intersection number"):
+        bad.build_through(9)
+    assert (bad.complete_through, len(bad.values)) == (7, size)
+    with pytest.raises(DomainError, match="not an intersection number"):
+        bad._constraint_value((0, 0, 1, 0, 0, 0, 1))
+    faults = table_audit(bad)
+    assert faults and all("not an intersection number" in f for f in faults)
 
 
 def test_string_equation_oracle(table):
