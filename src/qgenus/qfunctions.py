@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import DomainError, IncompatibleOperands
-from .rings import SparsePoly, UQ, UX, as_fraction, symbol_universe
+from .rings import (SparsePoly, UQ, UX, as_fraction, over_common_denominator,
+                    symbol_universe)
 from .series import TruncatedSeries
 
 Partition = tuple[int, ...]  # strictly decreasing, entries >= 1
@@ -92,16 +92,6 @@ def q_reduce(parts: Iterable[int]) -> dict[Partition, int]:
         memo[ms] = acc
         stack.pop()
     return memo[target]
-
-
-def _over_common_denominator(terms: Mapping) -> tuple[list, int]:
-    """([(key, n), ...], d) with terms[key] == n / d for integers n and d
-    the LCM of the denominators."""
-    d = 1
-    for c in terms.values():
-        d = lcm(d, c.denominator)
-    return [(k, c.numerator * (d // c.denominator))
-            for k, c in terms.items()], d
 
 
 class QElement:
@@ -191,8 +181,8 @@ class QElement:
             return NotImplemented
         # integer products over the two common denominators; one Fraction
         # per output term
-        a, da = _over_common_denominator(self.terms)
-        b, db = _over_common_denominator(o.terms)
+        a, da = over_common_denominator(self.terms)
+        b, db = over_common_denominator(o.terms)
         acc: dict[Partition, int] = {}
         for p1, c1 in a:
             for p2, c2 in b:
@@ -311,8 +301,8 @@ class QTensor:
         return out
 
     def __mul__(self, other: "QTensor") -> "QTensor":
-        a, da = _over_common_denominator(self.terms)
-        b, db = _over_common_denominator(other.terms)
+        a, da = over_common_denominator(self.terms)
+        b, db = over_common_denominator(other.terms)
         acc: dict[tuple[Partition, Partition], int] = {}
         for (l1, r1), c1 in a:
             for (l2, r2), c2 in b:
@@ -397,17 +387,18 @@ def q_in_x(n: int) -> SparsePoly:
 
 @lru_cache(maxsize=None)
 def x_in_q(k: int) -> QElement:
-    """x_k as an element of the algebra: (2k+1)/2 times the odd-degree
-    coefficient of log q(U)."""
+    """x_k as an element of the algebra, by Newton's identity
+    n q_n = sum_j 2 x_j q_(n-2j-1) (Macdonald, III.8) at n = 2k+1:
+
+        2 x_k = (2k+1) q_(2k+1) - sum_(j<k) 2 x_j q_(2k-2j).
+
+    The series route through log q(U) is :func:`log_q_coefficient`."""
     if k < 0:
         raise DomainError("x-index must be >= 0")
-    order = 2 * k + 1
-    qs = TruncatedSeries.univariate(
-        "U",
-        {0: QElement.one(), **{n: QElement.gen(n) for n in range(1, order + 1)}},
-        order)
-    c = qs.log().coefficient(order)
-    return Fraction(2 * k + 1, 2) * c
+    twice = (2 * k + 1) * QElement.gen(2 * k + 1)
+    for j in range(k):
+        twice = twice - 2 * x_in_q(j) * QElement.gen(2 * k - 2 * j)
+    return twice / 2
 
 
 def log_q_coefficient(n: int) -> QElement:

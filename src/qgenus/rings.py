@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import DomainError, IncompatibleOperands
@@ -59,6 +60,25 @@ def coeff_is_integral(c) -> bool:
     if isinstance(c, CycloRational):
         return all(x.denominator == 1 for x in c.coeffs)
     raise DomainError(f"unknown scalar type: {type(c).__name__}")
+
+
+def over_common_denominator(terms: Mapping) -> tuple[list, int]:
+    """([(key, n), ...], d) with terms[key] == n / d.
+
+    When every value is rational (``int`` or ``Fraction``), each n is an
+    integer and d is the LCM of the denominators, so products and sums of
+    the n run on plain integers (the content/primitive-part method of
+    Knuth, *TAOCP* Vol. 2, 4.6.1).  Any other value passes every term
+    through unchanged with d = 1."""
+    d = 1
+    for c in terms.values():
+        t = type(c)
+        if t is Fraction:
+            d = lcm(d, c.denominator)
+        elif t is not int:
+            return list(terms.items()), 1
+    return [(k, c.numerator * (d // c.denominator))
+            for k, c in terms.items()], d
 
 
 def coeff_inv(c):

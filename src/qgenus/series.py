@@ -16,10 +16,11 @@ exponents).  Coefficients are duck-typed exact scalars or
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Callable, Mapping
 
 from .errors import DomainError, IncompatibleOperands
-from .rings import SparsePoly, coeff_inv
+from .rings import SparsePoly, coeff_inv, over_common_denominator
 
 ExpVec = tuple[int, ...]
 
@@ -177,27 +178,51 @@ class TruncatedSeries:
                                self.order, self.low)
 
     def __mul__(self, other):
+        """Series product.
+
+        Rational coefficients are scaled to integers over one denominator
+        per operand, so the pair loop multiplies and adds plain ``int``s
+        and each output term costs one ``Fraction`` (an integral one is
+        stored as ``int``); any other coefficient type runs through the
+        same loop unscaled.  Exponent vectors are packed into one ``int``
+        each, so a key product is one integer addition.
+        """
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         o = self._align(other)
         va, vb = self.valuation(), o.valuation()
         order = min(self.order + vb, o.order + va)
-        low = self.low + o.low
-        out = TruncatedSeries.zero(self.vars, order, min(low, 0))
-        for k1, c1 in self.coeffs.items():
-            d1 = _deg(k1)
-            for k2, c2 in o.coeffs.items():
-                if d1 + _deg(k2) > order:
-                    continue
-                key = tuple(a + b for a, b in zip(k1, k2))
+        nvars = len(self.vars)
+        width = max(order, 1).bit_length()
+        a, da = over_common_denominator(self.coeffs)
+        b, db = over_common_denominator(o.coeffs)
+        a = _packed(a, nvars, width, order - vb)
+        b = _packed(b, nvars, width, order - va)
+        b.sort(key=itemgetter(1))
+        acc: dict[int, Any] = {}
+        get = acc.get
+        for k1, d1, c1 in a:
+            room = order - d1
+            for k2, d2, c2 in b:
+                if d2 > room:
+                    break
+                k = k1 + k2
                 c = c1 * c2
-                if c:
-                    acc = out.coeffs.get(key)
-                    tot = c if acc is None else acc + c
-                    if tot:
-                        out.coeffs[key] = tot
-                    elif key in out.coeffs:
-                        del out.coeffs[key]
+                prev = get(k)
+                acc[k] = c if prev is None else prev + c
+        den = da * db
+        coeffs = {}
+        for k, v in acc.items():
+            if not v:
+                continue
+            if den != 1:
+                v = (Fraction(v, den) if type(v) is int
+                     else v * Fraction(1, den))
+            if type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
+            coeffs[_unpack(k, nvars, width)] = v
+        out = TruncatedSeries.zero(self.vars, order, min(self.low + o.low, 0))
+        out.coeffs = coeffs
         return out
 
     def __rmul__(self, other):
@@ -490,6 +515,36 @@ class TruncatedSeries:
                 head += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         ovar = self.vars[0] if len(self.vars) == 1 else "deg"
         return f"{head} + O({ovar}^{self.order + 1})"
+
+
+def _packed(terms: list, nvars: int, width: int,
+            top: int) -> list[tuple[int, int, Any]]:
+    """[(packed key, degree, c)] for the (key, c) of degree <= top.
+
+    A univariate key packs to its exponent (negative on a Laurent
+    window); a multivariate one to its exponents in ``width``-bit fields,
+    first variable lowest.  Multivariate exponents are non-negative, so a
+    product key of degree below 2**width has every field below it too,
+    and packed keys add without carries.
+    """
+    if nvars == 1:
+        return [(k[0], k[0], c) for k, c in terms if k[0] <= top]
+    out = []
+    for key, c in terms:
+        d = _deg(key)
+        if d <= top:
+            k = 0
+            for e in reversed(key):
+                k = (k << width) | e
+            out.append((k, d, c))
+    return out
+
+
+def _unpack(k: int, nvars: int, width: int) -> ExpVec:
+    if nvars == 1:
+        return (k,)
+    mask = (1 << width) - 1
+    return tuple((k >> (width * i)) & mask for i in range(nvars))
 
 
 def _invert_coeff(c):

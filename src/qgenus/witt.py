@@ -511,12 +511,6 @@ class VertexOperator:
     def entry(self, e: int) -> SparsePoly:
         return self.table.get(e, SparsePoly.zero(SD))
 
-    def support(self) -> tuple[int, int] | None:
-        keys = [e for e, p in self.table.items() if p]
-        if not keys:
-            return None
-        return (min(keys), max(keys))
-
 
 def _clean_table(table: Mapping[int, SparsePoly]) -> dict[int, SparsePoly]:
     return {e: p for e, p in sorted(table.items()) if p}
@@ -1184,10 +1178,6 @@ def lattice_grading_audit(op: LatticeVertexOperator,
 # JSON emission
 # ---------------------------------------------------------------------------
 
-def _coeff_str(c) -> str:
-    return str(c)
-
-
 def vertex_table_obj(op: VertexOperator) -> dict:
     """JSON-ready Laurent-coefficient table of a tensor-square operator."""
     coeffs = {}
@@ -1196,7 +1186,7 @@ def vertex_table_obj(op: VertexOperator) -> dict:
         for mono, c in sorted(poly.terms.items()):
             name = "*".join(f"{SD.fmt(k)}^{x}" if x != 1 else SD.fmt(k)
                             for k, x in mono) or "1"
-            entry[name] = _coeff_str(c)
+            entry[name] = str(c)
         coeffs[f"z^{e}"] = entry
     return {"weight_cap": op.weight_cap, "label": op.label,
             "coefficients": coeffs}
@@ -1219,7 +1209,7 @@ def lattice_action_obj(op: LatticeVertexOperator,
                 name = "*".join(
                     f"{uni.fmt(k)}^{x}" if x != 1 else uni.fmt(k)
                     for k, x in mono) or "1"
-                terms[name] = _coeff_str(c)
+                terms[name] = str(c)
             entries.append({"z": e, "component": list(pt), "terms": terms})
     return {
         "point": list(op.point),

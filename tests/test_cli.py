@@ -658,12 +658,19 @@ def _run_child(argv, env, budget, tmp_path):
 _LATTICE_CAP = ("voa", "lattice", "--gram", "@gram", "--point", "1,1",
                 "--weight-cap", "12")
 _TABLE_CAP = ("intersection", "--max-weight", "13")
+_INTEGRALITY_CAP = ("kw", "--integrality", "32")
+_LAW_CAP = ("fgl", "--exp", "@exp")
+# an order-10 exponential (the law-order cap) with rational coefficients
+_LAW_CAP_FILE = json.dumps({"order": 10, "coefficients": {
+    "1": "1", "2": "1/2", "3": "-2/3", "4": "3", "5": "-1", "6": "2/3",
+    "8": "-3/2", "9": "5/7", "10": "-1/3"}})
 
 # (argv, budget in seconds, sha256 of stdout or None, peak-RSS ceiling in
 # MB).  The lattice digests were taken before the normal-ordered lattice
-# operator, the intersection digests before the integer table kernel.  At
-# those commits the peaks were 21 MB (lattice), 20 MB (intersection) and
-# 234 MB (kw --cpn 12).
+# operator, the intersection digests before the integer table kernel, the
+# integrality and law digests before the scaled-integer series product.
+# At those commits the peaks were 21 MB (lattice), 20 MB (intersection),
+# 234 MB (kw --cpn 12), 22 MB (integrality) and 20 MB (law).
 CAP_LADDER = [
     pytest.param(
         _LATTICE_CAP, 20,
@@ -686,14 +693,31 @@ CAP_LADDER = [
         ("-f", "csv") + _TABLE_CAP, 10,
         "394498431e6ff8d1e0a072feb9692638f45903ea163ec1ea56799ffec527073a",
         48, id="intersection-13-csv"),
+    pytest.param(
+        _INTEGRALITY_CAP, 10,
+        "7f9c49be94e876e66081c8a26f8bf362a0ab477685ca405d52fe89307b8b02ee",
+        48, id="kw-integrality-32"),
+    pytest.param(
+        ("-f", "json") + _INTEGRALITY_CAP, 10,
+        "b76b30bf05380543043338b07d98a9da9e8fd6414cb66e3206fbc2961832543e",
+        48, id="kw-integrality-32-json"),
+    pytest.param(
+        _LAW_CAP, 10,
+        "99cbe4468c6614c8b7b9b0020f579318bd9c0760fb6affe95e61b875479a86a5",
+        48, id="fgl-10"),
+    pytest.param(
+        ("-f", "json") + _LAW_CAP, 10,
+        "6ca8e66211e5f5ffad2e33a0bb3ad34d06b9ea58d5e33c4d4dc62616e6bcfeb3",
+        48, id="fgl-10-json"),
 ]
 
 
 @pytest.mark.parametrize("argv,budget,digest,rss_mb", CAP_LADDER)
 def test_cap_ladder(argv, budget, digest, rss_mb, tmp_path):
-    gram = tmp_path / "gram.json"
-    gram.write_text("[[2,1],[1,2]]")
-    argv = [str(gram) if a == "@gram" else a for a in argv]
+    files = {"@gram": "[[2,1],[1,2]]", "@exp": _LAW_CAP_FILE}
+    for name, text in files.items():
+        (tmp_path / name[1:]).write_text(text)
+    argv = [str(tmp_path / a[1:]) if a in files else a for a in argv]
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, QGENUS_CACHE_DIR=str(tmp_path),
                PYTHONPATH=str(_SRC) + (os.pathsep + path if path else ""))

@@ -209,13 +209,20 @@ def test_even_log_coefficients_vanish():
 
 
 def test_newton_identity():
-    # (2k+1) q_(2k+1) = 2 sum_{j=0}^{k} x_j q_(2k-2j)
-    for k in range(5):
+    # n q_n = 2 sum_{2j < n} x_j q_(n-2j-1); x_in_q solves the odd n, the
+    # even n hold only through the relations of the algebra
+    for n in range(1, 13):
         rhs = QElement.zero()
-        for j in range(k + 1):
-            tail = QElement.one() if j == k else QElement.gen(2 * k - 2 * j)
+        for j in range((n + 1) // 2):
+            m = n - 2 * j - 1
+            tail = QElement.gen(m) if m else QElement.one()
             rhs = rhs + 2 * x_in_q(j) * tail
-        assert (2 * k + 1) * QElement.gen(2 * k + 1) == rhs
+        assert n * QElement.gen(n) == rhs
+
+
+def test_odd_coordinates_match_the_log_series():
+    for k in range(11):
+        assert x_in_q(k) == F(2 * k + 1, 2) * log_q_coefficient(2 * k + 1)
 
 
 @given(small_partitions)

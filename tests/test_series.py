@@ -1,12 +1,15 @@
 """Kernel tests: exact scalars, sparse polynomials, truncated series."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qgenus.errors import DomainError
-from qgenus.grouplaw import universal_exponential
+from qgenus.grouplaw import (GroupLaw, genus_exponential, scalar_exponential,
+                             universal_exponential)
+from qgenus.qfunctions import QElement
 from qgenus.rings import (CycloRational, SparsePoly, Sqrt2, UPS, UQ, UT, UX,
                           coeff_inv, dfact_odd, double_factorial,
                           symbol_universe)
@@ -241,6 +244,108 @@ def test_mul_window_and_known_product():
     p = a * b
     assert p.order == 3
     assert p.coeffs == {(0,): 1, (3,): -1}  # (1+T+T^2)(1-T) = 1 - T^3
+
+
+def _reference_series_product(a: TruncatedSeries,
+                              b: TruncatedSeries) -> TruncatedSeries:
+    """The series product as one coefficient product and one running sum
+    per pair of terms, with no scaling and no key packing."""
+    va, vb = a.valuation(), b.valuation()
+    order = min(a.order + vb, b.order + va)
+    out = TruncatedSeries.zero(a.vars, order, min(a.low + b.low, 0))
+    for k1, c1 in a.coeffs.items():
+        d1 = sum(k1)
+        for k2, c2 in b.coeffs.items():
+            if d1 + sum(k2) > order:
+                continue
+            key = tuple(x + y for x, y in zip(k1, k2))
+            c = c1 * c2
+            if c:
+                acc = out.coeffs.get(key)
+                tot = c if acc is None else acc + c
+                if tot:
+                    out.coeffs[key] = tot
+                elif key in out.coeffs:
+                    del out.coeffs[key]
+    return out
+
+
+rational_coeffs = st.one_of(st.integers(-3, 3), small_rationals)
+poly_coeffs = st.one_of(rational_coeffs, x_polys().filter(bool))
+cyclo_coeffs = st.one_of(rational_coeffs, st.lists(
+    small_rationals, min_size=4, max_size=4).map(
+        lambda v: CycloRational(5, v)).filter(bool))
+q_coeffs = st.one_of(rational_coeffs, st.dictionaries(
+    st.sampled_from([(), (1,), (2,), (2, 1), (3,), (3, 1)]), small_rationals,
+    min_size=1, max_size=3).map(QElement).filter(bool))
+
+
+@st.composite
+def series_pairs(draw, nvars, coeffs):
+    """Two series over one variable tuple: univariate ones may be Laurent,
+    and the second gets rational or ring coefficients on its own."""
+    names = ("X", "Y", "Z")[:nvars]
+    out = []
+    for c in (coeffs, draw(st.sampled_from([rational_coeffs, coeffs]))):
+        low = draw(st.integers(-3, 0)) if nvars == 1 else 0
+        order = draw(st.integers(low - 1, 7))
+        if nvars == 1:
+            keys = st.tuples(st.integers(low, order + 2))
+        else:  # a key is the variables of a monomial of degree <= order
+            keys = st.lists(st.integers(0, nvars - 1),
+                            max_size=max(order, 0)).map(
+                lambda vs: tuple(vs.count(i) for i in range(nvars)))
+        terms = draw(st.dictionaries(keys, c, max_size=6))
+        out.append(TruncatedSeries(names, terms, order, low))
+    return out
+
+
+@pytest.mark.parametrize("nvars", [1, 3])
+@pytest.mark.parametrize("coeffs", [rational_coeffs, poly_coeffs,
+                                    cyclo_coeffs, q_coeffs],
+                         ids=["rational", "poly", "cyclo", "qelement"])
+@given(data=st.data())
+def test_product_matches_reference(nvars, coeffs, data):
+    a, b = data.draw(series_pairs(nvars, coeffs))
+    got = a * b
+    assert got == _reference_series_product(a, b)
+    assert b * a == _reference_series_product(b, a)
+    if all(isinstance(c, (int, Fraction))
+           for c in [*a.coeffs.values(), *b.coeffs.values()]):
+        # an integral rational coefficient is stored as int
+        assert all(type(c) is int or c.denominator != 1
+                   for c in got.coeffs.values())
+
+
+@given(series_strategy(order=7), st.integers(1, 4))
+def test_product_cancelling_to_zero(a, shift):
+    """A unit times its inverse cancels to 1, and a nilpotent coefficient
+    squares to a series whose every pair product is 0."""
+    unit = a + (2 if a.coefficient(0) == -1 else 1)
+    one = unit * unit.inverse()
+    assert one == _reference_series_product(unit, unit.inverse())
+    assert one.coeffs == {(0,): 1} and type(one.coeffs[(0,)]) is int
+    U = symbol_universe("nil2", ["e"], nilpotent_order=2)
+    e = SparsePoly.gen(U, "e")
+    f = ts({shift: e, shift + 1: F(1, 3) * e}, 8)
+    assert (f * f).is_zero() and _reference_series_product(f, f).is_zero()
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def test_law_digests_frozen():
+    """reprs of three product-heavy results, frozen before the
+    scaled-integer product."""
+    assert _digest(scalar_exponential(32).logarithm()) == \
+        "e7182ef0740d1a70e4e541d44178259a6ec6d8e118063a57ecb829ea9d0f8747"
+    assert _digest(genus_exponential(7).law()) == \
+        "72414845b7e9d56e6956817a6d87fcd3a39b3f5fe84718577efdcc0944873c4d"
+    law = GroupLaw(ts({1: 1, 2: F(1, 2), 3: F(-2, 3), 4: 3, 5: -1, 6: F(2, 3),
+                       8: F(-3, 2)}, 8))
+    assert _digest(law.law()) == \
+        "a4273fabde45c301557ad74122c915a22aaa770195055952b2feb7db1875f53d"
 
 
 def test_inverse_of_unit_series():
