@@ -82,7 +82,9 @@ def over_common_denominator(terms: Mapping) -> tuple[list, int]:
 
 
 def coeff_inv(c):
-    """Multiplicative inverse of a scalar, in its own ring."""
+    """Multiplicative inverse of a scalar or unit monomial, in its ring."""
+    if isinstance(c, SparsePoly):
+        return c.inv()
     if isinstance(c, (int, Fraction)):
         if c == 0:
             raise DomainError("division by zero")
@@ -175,9 +177,6 @@ class Sqrt2:
             return f"{self.b}*sqrt2"
         sign = "+" if self.b > 0 else "-"
         return f"{self.a} {sign} {abs(self.b)}*sqrt2"
-
-
-SQRT2 = Sqrt2(0, 1)
 
 
 def _to_sqrt2(x):
@@ -369,6 +368,42 @@ def _never_nilpotent(key: Key) -> None:
     return None
 
 
+class MonomialPacking(dict):
+    """A universe's packed exponent vectors (Monagan and Pearce, CASC 2007):
+    factor (key, e) -> e << (offset of the key's field), summed over a
+    monomial.  A key takes the next ``width``-bit field on first use; the
+    width grows to keep each |e| < 2**(width - 2), so two packed monomials
+    plus ``bias`` have every field in [0, 2**width)."""
+
+    __slots__ = ("width", "slots", "order", "bias")
+
+    def __init__(self):
+        super().__init__()
+        self.width, self.slots, self.order, self.bias = 2, {}, [], 0
+
+    def __missing__(self, factor: tuple[Key, int]) -> int:
+        key, e = factor
+        if key not in self.slots or abs(e) >> self.width - 2:
+            self.slots.setdefault(key, len(self.slots))
+            if abs(e) >> self.width - 2:
+                self.width = abs(e).bit_length() + 2
+                self.clear()
+            w = self.width
+            self.order = sorted((k, w * i) for k, i in self.slots.items())
+            self.bias = sum(1 << w - 1 + off for _, off in self.order)
+        self[factor] = e << self.width * self.slots[key]
+        return self[factor]
+
+    def unpack(self, bits: int) -> Monomial:
+        """The monomial of ``bits`` = a packed monomial + ``bias``."""
+        half, mask, out = 1 << self.width - 1, (1 << self.width) - 1, []
+        for k, off in self.order:
+            e = (bits >> off & mask) - half
+            if e:
+                out.append((k, e))
+        return tuple(out)
+
+
 @dataclass(frozen=True, eq=False)
 class Universe:
     """A named family of polynomial generators.
@@ -384,6 +419,8 @@ class Universe:
     weight: Callable[[Key], int]
     is_invertible: Callable[[Key], bool] = field(default=lambda k: False)
     nilpotency: Callable[[Key], int | None] = field(default=_never_nilpotent)
+    packing: MonomialPacking = field(default_factory=MonomialPacking,
+                                     init=False, repr=False)
 
     @property
     def has_nilpotents(self) -> bool:
@@ -478,9 +515,8 @@ def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(out) + m1[i:] + m2[j:]
 
 
-def _coeff_str(c, *, lead: bool) -> str:
-    """Render a scalar coefficient for a term; sign folded in when leading
-    rationals allow it."""
+def _coeff_str(c) -> str:
+    """Render a scalar coefficient for a term."""
     if isinstance(c, (int, Fraction)):
         return str(c)
     return f"({c!r})"
@@ -682,10 +718,6 @@ class SparsePoly:
         return SparsePoly._canonical(self.universe, {
             m: c for m, c in self.terms.items() if self.monomial_weight(m) <= wmax})
 
-    def weight_component(self, w: int) -> "SparsePoly":
-        return SparsePoly._canonical(self.universe, {
-            m: c for m, c in self.terms.items() if self.monomial_weight(m) == w})
-
     def constant_term(self):
         return self.terms.get((), 0)
 
@@ -702,9 +734,6 @@ class SparsePoly:
 
     def is_integral(self) -> bool:
         return all(coeff_is_integral(c) for c in self.terms.values())
-
-    def map_coeffs(self, f: Callable[[Any], Any]) -> "SparsePoly":
-        return SparsePoly(self.universe, {m: f(c) for m, c in self.terms.items()})
 
     # -- calculus / substitution ------------------------------------------
     def differentiate(self, key: Key) -> "SparsePoly":
@@ -779,13 +808,13 @@ class SparsePoly:
                 self.universe.fmt(k) + (f"^{e}" if e != 1 else "")
                 for k, e in mono)
             if not mono:
-                body = _coeff_str(c, lead=True)
+                body = _coeff_str(c)
             elif isinstance(c, (int, Fraction)) and c == 1:
                 body = gens
             elif isinstance(c, (int, Fraction)) and c == -1:
                 body = f"-{gens}"
             else:
-                body = f"{_coeff_str(c, lead=True)}*{gens}"
+                body = f"{_coeff_str(c)}*{gens}"
             parts.append(body)
         out = parts[0]
         for p in parts[1:]:

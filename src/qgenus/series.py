@@ -11,28 +11,34 @@ Univariate series may be Laurent: ``low`` is the smallest exponent the
 window admits (multivariate series require low == 0 and non-negative
 exponents).  Coefficients are duck-typed exact scalars or
 :class:`~qgenus.rings.SparsePoly` values; floats are never used here.
+Products spread SparsePoly coefficients into one packed ``int`` key per
+(exponent, monomial) pair, and rational values run as integers over a
+common denominator, in products and in the exp/log recurrences alike.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from operator import itemgetter
-from typing import Any, Callable, Mapping
+from functools import cache
+from itertools import chain
+from math import lcm
+from operator import add, mul
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import DomainError, IncompatibleOperands
-from .rings import SparsePoly, coeff_inv, over_common_denominator
+from .rings import (MonomialPacking, SparsePoly, Universe, coeff_inv,
+                    over_common_denominator)
 
 ExpVec = tuple[int, ...]
-
-
-def _deg(key: ExpVec) -> int:
-    return sum(key)
+_RATIONAL = {int, Fraction}
 
 
 class TruncatedSeries:
     __slots__ = ("vars", "coeffs", "order", "low")
 
-    def __init__(self, vars: tuple[str, ...], coeffs: Mapping[ExpVec, Any],
+    def __init__(self, vars: tuple[str, ...],
+                 coeffs: Mapping[ExpVec, Any] | Iterable[tuple[ExpVec, Any]],
                  order: int, low: int = 0):
         if isinstance(vars, str):
             raise DomainError("vars must be a tuple of names, not a string")
@@ -44,10 +50,10 @@ class TruncatedSeries:
         self.order = order
         self.low = low
         self.coeffs: dict[ExpVec, Any] = {}
-        for key, c in coeffs.items():
+        for key, c in coeffs.items() if hasattr(coeffs, "items") else coeffs:
             if len(key) != len(self.vars):
                 raise DomainError("exponent vector has wrong arity")
-            if _deg(key) > order:
+            if sum(key) > order:
                 continue  # beyond the trusted window
             if len(self.vars) == 1:
                 if key[0] < low:
@@ -95,13 +101,13 @@ class TruncatedSeries:
         order + 1 when the series is zero on its window)."""
         if not self.coeffs:
             return self.order + 1
-        return min(_deg(k) for k in self.coeffs)
+        return min(map(sum, self.coeffs))
 
     def coefficient(self, key) -> Any:
         if isinstance(key, int):
             key = (key,)
         key = tuple(key)
-        if _deg(key) > self.order or (len(self.vars) == 1 and key[0] < self.low):
+        if sum(key) > self.order or (len(self.vars) == 1 and key[0] < self.low):
             raise DomainError(f"coefficient {key} outside trusted window")
         return self.coeffs.get(key, 0)
 
@@ -134,7 +140,7 @@ class TruncatedSeries:
             n = through
         lo = min(self.low, other.low)
         for k in set(self.coeffs) | set(other.coeffs):
-            if lo <= _deg(k) <= n and self.coeffs.get(k, 0) != other.coeffs.get(k, 0):
+            if lo <= sum(k) <= n and self.coeffs.get(k, 0) != other.coeffs.get(k, 0):
                 return False
         return True
 
@@ -148,18 +154,9 @@ class TruncatedSeries:
 
     def __add__(self, other):
         o = self._align(other)
-        out = dict(self.coeffs)
-        merged = TruncatedSeries(self.vars, out, min(self.order, o.order),
-                                 min(self.low, o.low))
-        for k, c in o.coeffs.items():
-            if _deg(k) <= merged.order:
-                acc = merged.coeffs.get(k)
-                tot = c if acc is None else acc + c
-                if tot:
-                    merged.coeffs[k] = tot
-                elif k in merged.coeffs:
-                    del merged.coeffs[k]
-        return merged
+        return TruncatedSeries(self.vars,
+                               chain(self.coeffs.items(), o.coeffs.items()),
+                               min(self.order, o.order), min(self.low, o.low))
 
     __radd__ = __add__
 
@@ -178,40 +175,43 @@ class TruncatedSeries:
                                self.order, self.low)
 
     def __mul__(self, other):
-        """Series product.
+        """Series product: one accumulation loop over packed ``int`` keys.
 
-        Rational coefficients are scaled to integers over one denominator
-        per operand, so the pair loop multiplies and adds plain ``int``s
-        and each output term costs one ``Fraction`` (an integral one is
-        stored as ``int``); any other coefficient type runs through the
-        same loop unscaled.  Exponent vectors are packed into one ``int``
-        each, so a key product is one integer addition.
-        """
+        If each operand's coefficients are all rational, or all SparsePoly
+        over one universe without nilpotents, a term is an (exponent,
+        monomial) pair keyed by the monomial packed above the exponent
+        (:class:`~qgenus.rings.MonomialPacking`), else a whole coefficient.
+        Rational values are integers over a common denominator, at one
+        ``Fraction`` per output term (``int`` when integral)."""
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         o = self._align(other)
         va, vb = self.valuation(), o.valuation()
         order = min(self.order + vb, o.order + va)
-        nvars = len(self.vars)
-        width = max(order, 1).bit_length()
-        a, da = over_common_denominator(self.coeffs)
-        b, db = over_common_denominator(o.coeffs)
-        a = _packed(a, nvars, width, order - vb)
-        b = _packed(b, nvars, width, order - va)
-        b.sort(key=itemgetter(1))
-        acc: dict[int, Any] = {}
+        out = TruncatedSeries.zero(self.vars, order, min(self.low + o.low, 0))
+        if not (self.coeffs and o.coeffs):
+            return out
+        nvars, width = len(self.vars), max(order, 1).bit_length()
+        sbits = (width * nvars if nvars > 1
+                 else (order - self.low - o.low).bit_length())
+        uni = _flat_universe(self.coeffs, o.coeffs)
+        pk, fw = (uni.packing, uni.packing.width) if uni else (None, 0)
+        ka, da, ca, den_a = _flat_terms(self, width, sbits, pk, False)
+        kb, db, cb, den_b = _flat_terms(o, width, sbits, pk, True)
+        if uni and pk.width != fw:
+            return self * o  # packed again in the wider fields
+        last, part, acc = None, (), {}
         get = acc.get
-        for k1, d1, c1 in a:
-            room = order - d1
-            for k2, d2, c2 in b:
-                if d2 > room:
-                    break
+        for k1, d1, c1 in zip(ka, da, ca):
+            if d1 != last:  # the terms of b inside the window
+                last, part = d1, kb[:bisect_right(db, order - d1)]
+            for k2, c2 in zip(part, cb):
                 k = k1 + k2
                 c = c1 * c2
                 prev = get(k)
                 acc[k] = c if prev is None else prev + c
-        den = da * db
-        coeffs = {}
+        del ka, da, ca, kb, db, cb, part  # the terms' memory, before regrouping
+        den, smask, polys, monos = den_a * den_b, (1 << sbits) - 1, {}, {}
         for k, v in acc.items():
             if not v:
                 continue
@@ -220,9 +220,17 @@ class TruncatedSeries:
                      else v * Fraction(1, den))
             if type(v) is Fraction and v.denominator == 1:
                 v = v.numerator
-            coeffs[_unpack(k, nvars, width)] = v
-        out = TruncatedSeries.zero(self.vars, order, min(self.low + o.low, 0))
-        out.coeffs = coeffs
+            if uni is None:
+                polys[k] = v
+                continue
+            m = k >> sbits
+            mono = monos.get(m) or monos.setdefault(m, pk.unpack(m + pk.bias))
+            polys.setdefault(k & smask, {})[mono] = v
+        low, mask = self.low + o.low, (1 << width) - 1
+        for k, v in polys.items():
+            out.coeffs[(k + low,) if nvars == 1 else tuple(
+                k >> width * i & mask for i in range(nvars))] = (
+                SparsePoly._canonical(uni, v) if uni else v)
         return out
 
     def __rmul__(self, other):
@@ -233,20 +241,14 @@ class TruncatedSeries:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        out = TruncatedSeries.one(self.vars, self.order + (self.valuation() - 1) * 0)
-        # keep full window; multiplication tightens as needed
-        base = self
-        first = True
+        out, base = None, self
         while e:
             if e & 1:
-                out = base if first else out * base
-                first = False
+                out = base if out is None else out * base
             e >>= 1
             if e:
                 base = base * base
-        if first:
-            return TruncatedSeries.one(self.vars, self.order)
-        return out
+        return TruncatedSeries.one(self.vars, self.order) if out is None else out
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -259,8 +261,8 @@ class TruncatedSeries:
         """Multiplicative inverse on the largest honest window.
 
         Univariate: factors out the valuation (Laurent allowed); the unit
-        part's constant term must be invertible.  Multivariate: inverts by
-        graded recursion, requiring an invertible constant term.
+        part's constant term must be invertible.  Multivariate: needs an
+        invertible constant term.
         """
         if len(self.vars) == 1:
             v = self.valuation()
@@ -276,34 +278,25 @@ class TruncatedSeries:
         return self._inverse_unit()
 
     def _inverse_unit(self) -> "TruncatedSeries":
-        zero_key = (0,) * len(self.vars)
-        c0 = self.coeffs.get(zero_key)
-        if not c0:
+        one = (0,) * len(self.vars)
+        if not self.coeffs.get(one):
             raise DomainError("inverse needs a unit constant term")
-        c0i = _invert_coeff(c0)
-        n = self.order
-        by_deg: dict[int, list[tuple[ExpVec, Any]]] = {}
-        for k, c in self.coeffs.items():
-            by_deg.setdefault(_deg(k), []).append((k, c))
-        out: dict[ExpVec, Any] = {zero_key: c0i}
-        out_by_deg: dict[int, list[tuple[ExpVec, Any]]] = {0: [(zero_key, c0i)]}
-        for d in range(1, n + 1):
+        c0i = coeff_inv(self.coeffs[one])
+        terms = sorted((sum(k), k, c) for k, c in self.coeffs.items() if any(k))
+        levels = {0: [(one, c0i)]}  # the inverse's terms by degree
+        for d in range(1, self.order + 1):
             acc: dict[ExpVec, Any] = {}
-            for da in range(1, d + 1):
-                for ka, ca in by_deg.get(da, []):
-                    for kb, cb in out_by_deg.get(d - da, []):
-                        key = tuple(a + b for a, b in zip(ka, kb))
-                        c = ca * cb
-                        if c:
-                            acc[key] = acc.get(key, 0) + c
-            level = []
-            for key, c in acc.items():
-                c = (-1) * (c0i * c)
-                if c:
-                    out[key] = c
-                    level.append((key, c))
-            out_by_deg[d] = level
-        return TruncatedSeries(self.vars, out, n, 0)
+            for da, ka, ca in terms:
+                if da > d:
+                    break
+                for kb, cb in levels[d - da]:
+                    key = tuple(map(add, ka, kb))
+                    c = ca * cb
+                    if c:
+                        acc[key] = acc.get(key, 0) + c
+            levels[d] = [(k, c) for k, v in acc.items()
+                         if (c := (-1) * (c0i * v))]
+        return TruncatedSeries(self.vars, chain(*levels.values()), self.order)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner) for univariate self, inner with valuation >= 1.
@@ -350,16 +343,10 @@ class TruncatedSeries:
             if im.valuation() < 1:
                 raise DomainError("substitute: images need valuation >= 1")
             order = min(order, im.order)
-        pow_cache: dict[tuple[str, int], TruncatedSeries] = {}
-
+        @cache
         def power(name: str, e: int) -> TruncatedSeries:
-            got = pow_cache.get((name, e))
-            if got is None:
-                got = images[name] ** e
-                if got.order > order:
-                    got = got.truncate(order)
-                pow_cache[(name, e)] = got
-            return got
+            got = images[name] ** e
+            return got.truncate(order) if got.order > order else got
 
         out = TruncatedSeries.zero(tvars, order)
         for key, c in self.coeffs.items():
@@ -412,43 +399,61 @@ class TruncatedSeries:
         for (k,), c in self.coeffs.items():
             if k == -1:
                 raise DomainError("integrate: 1/T term has no series integral")
-            out[(k + 1,)] = Fraction(1, k + 1) * c if k + 1 > 0 else c * Fraction(1, k + 1)
+            out[(k + 1,)] = Fraction(1, k + 1) * c
         return TruncatedSeries(self.vars, out, self.order + 1,
                                min(self.low + 1, 0))
 
+    def _scaled(self) -> tuple[list, int]:
+        """([A_k D^(k-1)], D) for a_k = A_k / D: D clears every denominator
+        if all a_k are rational, so exp and log run on integers; else 1."""
+        terms, d = over_common_denominator(self.coeffs)
+        q = [0] * (self.order + 1)
+        for (k,), c in terms:
+            q[k] = c * d ** (k - 1) if k and d != 1 else c
+        return q, d
+
     def exp(self) -> "TruncatedSeries":
-        """exp of a univariate series with zero constant term."""
+        """exp of a univariate series with zero constant term, on B_m =
+        m! D^m b_m = sum_k k A_k D^(k-1) (m-1)!/(m-k)! B_(m-k)."""
         if len(self.vars) != 1:
             raise DomainError("exp: univariate only")
         if self.low < 0 or self.coeffs.get((0,)):
             raise DomainError("exp needs valuation >= 1")
-        n = self.order
-        b: list[Any] = [1] + [0] * n
-        a = [self.coeffs.get((k,), 0) for k in range(n + 1)]
+        q, d = self._scaled()
+        n, den = self.order, 1
+        big, out = [1] + [0] * n, {(0,): 1}
         for m in range(1, n + 1):
-            s = 0
+            s, f = 0, 1  # f = (m-1)!/(m-k)!
             for k in range(1, m + 1):
-                if a[k]:
-                    s = s + (k * a[k]) * b[m - k]
-            b[m] = Fraction(1, m) * s if s else 0
-        return TruncatedSeries(self.vars, {(k,): c for k, c in enumerate(b)}, n)
+                if q[k]:
+                    s = s + k * f * q[k] * big[m - k]
+                f *= m - k
+            big[m], den = s or 0, den * m * d
+            if s:
+                out[(m,)] = Fraction(1, den) * s
+        return TruncatedSeries(self.vars, out, n)
 
     def log(self) -> "TruncatedSeries":
-        """log of a univariate series with constant term 1."""
+        """log of a univariate series with constant term 1, on B_m =
+        m D^m b_m = m A_m D^(m-1) - sum_(k<m) B_k A_(m-k) D^(m-k-1)."""
         if len(self.vars) != 1:
             raise DomainError("log: univariate only")
         if self.low < 0 or self.coeffs.get((0,)) != 1:
             raise DomainError("log needs constant term exactly 1")
-        n = self.order
-        a = [self.coeffs.get((k,), 0) for k in range(n + 1)]
-        b: list[Any] = [0] * (n + 1)
+        q, d = self._scaled()
+        n, dm = self.order, 1
+        big, out = [0] * (n + 1), {}
         for m in range(1, n + 1):
             s = 0
             for k in range(1, m):
-                if b[k] and a[m - k]:
-                    s = s + (k * b[k]) * a[m - k]
-            b[m] = a[m] - Fraction(1, m) * s if s else a[m]
-        return TruncatedSeries(self.vars, {(k,): c for k, c in enumerate(b) if c}, n)
+                if big[k] and q[m - k]:
+                    s = s + big[k] * q[m - k]
+            big[m], dm = m * q[m] - s, dm * d
+            if not s:  # b_m = a_m
+                out[(m,)] = self.coeffs.get((m,), 0)
+            elif big[m]:
+                out[(m,)] = Fraction(1, m * dm) * big[m]
+        return TruncatedSeries(self.vars, out, n)
 
     def reversion(self) -> "TruncatedSeries":
         """Compositional inverse of a univariate series T*(unit).
@@ -464,7 +469,7 @@ class TruncatedSeries:
         if self.low < 0 or self.coeffs.get((0,)) or not self.coeffs.get((1,)):
             raise DomainError("reversion needs form a1*T + ..., a1 a unit")
         n = self.order
-        g = {(1,): _invert_coeff(self.coeffs[(1,)])}
+        g = {(1,): coeff_inv(self.coeffs[(1,)])}
         df = self.derivative()
         m = 1
         while m < n:
@@ -492,7 +497,7 @@ class TruncatedSeries:
             return "*".join(bits)
 
         parts = []
-        for key in sorted(self.coeffs, key=lambda k: (_deg(k), k)):
+        for key in sorted(self.coeffs, key=lambda k: (sum(k), k)):
             c = self.coeffs[key]
             m = mono(key)
             if isinstance(c, (int, Fraction)):
@@ -517,40 +522,46 @@ class TruncatedSeries:
         return f"{head} + O({ovar}^{self.order + 1})"
 
 
-def _packed(terms: list, nvars: int, width: int,
-            top: int) -> list[tuple[int, int, Any]]:
-    """[(packed key, degree, c)] for the (key, c) of degree <= top.
-
-    A univariate key packs to its exponent (negative on a Laurent
-    window); a multivariate one to its exponents in ``width``-bit fields,
-    first variable lowest.  Multivariate exponents are non-negative, so a
-    product key of degree below 2**width has every field below it too,
-    and packed keys add without carries.
-    """
-    if nvars == 1:
-        return [(k[0], k[0], c) for k, c in terms if k[0] <= top]
-    out = []
-    for key, c in terms:
-        d = _deg(key)
-        if d <= top:
-            k = 0
-            for e in reversed(key):
-                k = (k << width) | e
-            out.append((k, d, c))
-    return out
+def _flat_universe(*operands: Mapping) -> Universe | None:
+    """The universe whose monomials a product spreads over (see
+    ``__mul__``), or None."""
+    uni, names = None, set()
+    for coeffs in operands:
+        kinds = set(map(type, coeffs.values()))
+        if kinds == {SparsePoly}:
+            names |= {c.universe.name for c in coeffs.values()}
+            uni = next(iter(coeffs.values())).universe
+        elif not kinds <= _RATIONAL:
+            return None
+    return uni if len(names) == 1 and not uni.has_nilpotents else None
 
 
-def _unpack(k: int, nvars: int, width: int) -> ExpVec:
-    if nvars == 1:
-        return (k,)
-    mask = (1 << width) - 1
-    return tuple((k >> (width * i)) & mask for i in range(nvars))
-
-
-def _invert_coeff(c):
-    if isinstance(c, SparsePoly):
-        return c.inv()
-    return coeff_inv(c)
+def _flat_terms(t: TruncatedSeries, width: int, sbits: int,
+                pk: MonomialPacking | None, ordered: bool):
+    """(keys, degrees, values, d): t's terms as parallel lists (by degree
+    if ``ordered``), values over d.  A key's low ``sbits`` hold the
+    exponent less t.low, or the exponents in ``width``-bit fields, so keys
+    add without carries; above them sits a monomial packed by ``pk``.
+    Rational values become integers over their LCM denominator d."""
+    items, uv = t.coeffs.items(), len(t.vars) == 1
+    if ordered:
+        items = sorted(items, key=None if uv else lambda kc: sum(kc[0]))
+    mults = [1 << width * i for i in range(len(t.vars))]
+    get = pk.__getitem__ if pk is not None else None
+    keys, degs, vals = [], [], []
+    for key, c in items:
+        d = key[0] if uv else sum(key)
+        k = d - t.low if uv else sum(map(mul, key, mults))
+        for m, x in (c.terms.items() if get and type(c) is SparsePoly
+                     else (((), c),)):
+            keys.append((sum(map(get, m)) << sbits) + k if m else k)
+            degs.append(d)
+            vals.append(x)
+    kinds, den = set(map(type, vals)), 1
+    if Fraction in kinds and kinds <= _RATIONAL:
+        den = lcm(*[x.denominator for x in vals])
+        vals = [x.numerator * (den // x.denominator) for x in vals]
+    return keys, degs, vals, den
 
 
 def lagrange_reversion_coefficient(f: TruncatedSeries, n: int):

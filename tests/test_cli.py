@@ -665,12 +665,20 @@ _LAW_CAP_FILE = json.dumps({"order": 10, "coefficients": {
     "1": "1", "2": "1/2", "3": "-2/3", "4": "3", "5": "-1", "6": "2/3",
     "8": "-3/2", "9": "5/7", "10": "-1/3"}})
 
+_VOA_TABLE_CAP = ("voa", "table", "--n", "2", "--t", "1/2",
+                  "--weight-cap", "12")
+# two order-32 Witt vectors with small integer coefficients
+_W32 = (",".join(str(5 * k % 7 - 3) for k in range(1, 33)),
+        ",".join(str((3 * k + 1) % 5 - 2) for k in range(1, 33)))
+
 # (argv, budget in seconds, sha256 of stdout or None, peak-RSS ceiling in
 # MB).  The lattice digests were taken before the normal-ordered lattice
 # operator, the intersection digests before the integer table kernel, the
-# integrality and law digests before the scaled-integer series product.
-# At those commits the peaks were 21 MB (lattice), 20 MB (intersection),
-# 234 MB (kw --cpn 12), 22 MB (integrality) and 20 MB (law).
+# integrality and law digests before the scaled-integer series product,
+# and the kw --cpn 12, voa table and witt digests before the products
+# spread over monomials and the scaled-integer exp/log.  At those commits
+# the peaks were 21 MB (lattice), 20 MB (intersection), 234 MB (kw --cpn
+# 12), 22 MB (integrality), 20 MB (law) and 20 MB (voa table, witt).
 CAP_LADDER = [
     pytest.param(
         _LATTICE_CAP, 20,
@@ -680,7 +688,10 @@ CAP_LADDER = [
         ("-f", "json") + _LATTICE_CAP, 20,
         "2b3bfb53446cde85e0f5ff44e5a0af096c40c64cb52c03c0f92c42196385a4b2",
         48, id="voa-lattice-12-json"),
-    pytest.param(("kw", "--cpn", "12"), 60, None, 320, id="kw-cpn-12"),
+    pytest.param(
+        ("kw", "--cpn", "12"), 60,
+        "87221994156ff688e5a9bf00a2bd149b33ae32d9e6b5fe34d407e6bfd539dba2",
+        320, id="kw-cpn-12"),
     pytest.param(
         _TABLE_CAP, 10,
         "cd2d831a85ddd9e754ea75ee402b70973acc4ced3bcd33ff1bab43e130bfee36",
@@ -709,6 +720,30 @@ CAP_LADDER = [
         ("-f", "json") + _LAW_CAP, 10,
         "6ca8e66211e5f5ffad2e33a0bb3ad34d06b9ea58d5e33c4d4dc62616e6bcfeb3",
         48, id="fgl-10-json"),
+    pytest.param(
+        _VOA_TABLE_CAP, 10,
+        "6d2ff04fe12a7c17cd78458a12732746a11192472242d041ba472c551cb62726",
+        48, id="voa-table-12"),
+    pytest.param(
+        ("-f", "json") + _VOA_TABLE_CAP, 10,
+        "325e234d1f4d2a430373bc7342684f481be29bf39cc44363ebccd49cd88a11ee",
+        48, id="voa-table-12-json"),
+    pytest.param(
+        ("witt", "ghost", _W32[0]), 10,
+        "43d803ea328d911559b52e599100bd8c1e25f2ac04f99f93b032eb113d25bb22",
+        48, id="witt-ghost-32"),
+    pytest.param(
+        ("-f", "json", "witt", "ghost", _W32[0]), 10,
+        "ec089ce6ea6caa5233a4cf067c71a9f1cc9c31664e3c3ca7f3f5eb380f0cac99",
+        48, id="witt-ghost-32-json"),
+    pytest.param(
+        ("witt", "mul") + _W32, 10,
+        "40eb23abfeac6915024e5a7ebb29200b8b8c5c5cc1ecb24317a0aa9357ed1263",
+        48, id="witt-mul-32"),
+    pytest.param(
+        ("-f", "json", "witt", "mul") + _W32, 10,
+        "75ee2a3beae417d718ad5ae8e55713ecd1662f9c08adee05c6b71d66c3fe092c",
+        48, id="witt-mul-32-json"),
 ]
 
 

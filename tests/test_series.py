@@ -12,9 +12,9 @@ from qgenus.grouplaw import (GroupLaw, genus_exponential, scalar_exponential,
 from qgenus.qfunctions import QElement
 from qgenus.rings import (CycloRational, SparsePoly, Sqrt2, UPS, UQ, UT, UX,
                           coeff_inv, dfact_odd, double_factorial,
-                          symbol_universe)
+                          indexed_universe, symbol_universe)
 from qgenus.series import TruncatedSeries, lagrange_reversion_coefficient
-from qgenus.witt import SD
+from qgenus.witt import SD, hl_q_gen, lattice_universe
 
 F = Fraction
 
@@ -346,6 +346,157 @@ def test_law_digests_frozen():
                        8: F(-3, 2)}, 8))
     assert _digest(law.law()) == \
         "a4273fabde45c301557ad74122c915a22aaa770195055952b2feb7db1875f53d"
+
+
+def _assert_same(got: TruncatedSeries, want: TruncatedSeries) -> None:
+    """Equal series whose coefficients have equal types (an integral
+    rational may be stored as ``int``)."""
+    def kinds(t):
+        return {k: Fraction if type(c) is int else type(c)
+                for k, c in t.coeffs.items()}
+
+    assert got == want and kinds(got) == kinds(want)
+
+
+# Exponents on both sides of the field boundaries |e| = 2**(width - 2) at
+# which a universe's packing widens.
+wide_exponents = st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16, 63, 64,
+                                  2 ** 20 - 1, 2 ** 20])
+
+
+@st.composite
+def wide_polys(draw, universe):
+    """Polynomials in w0^(+-k), w1, w2 with exponents from wide_exponents."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        es = [draw(st.sampled_from([-1, 0, 1])) * draw(wide_exponents)]
+        es += [draw(st.sampled_from([0, 1])) * draw(wide_exponents)
+               for _ in range(2)]
+        terms[tuple((k, e) for k, e in enumerate(es) if e)] = draw(
+            small_rationals)
+    return SparsePoly(universe, terms)
+
+
+@pytest.mark.parametrize("nvars", [1, 3])
+@given(data=st.data())
+def test_spread_product_at_wide_fields(nvars, data):
+    """Products spread over monomials whose exponents reach past the packed
+    field width, in a fresh universe each time, so that the first product
+    widens the packing and packs again; both operand orders."""
+    uni = indexed_universe("wide", "w", lambda k: 2 * k + 1, invertible={0})
+    polys = wide_polys(uni)
+    a, b = data.draw(series_pairs(nvars, polys))
+    _assert_same(a * b, _reference_series_product(a, b))
+    _assert_same(b * a, _reference_series_product(b, a))
+
+
+def test_packing_widens_at_the_field_boundary():
+    """The last exponent a field holds, the first it does not, and one far
+    beyond: each product packs again in wider fields when it must."""
+    uni = indexed_universe("grow", "g", lambda k: k + 1, invertible={0})
+    g0, g2 = SparsePoly.gen(uni, 0), SparsePoly.gen(uni, 2)
+    small = ts({0: g2, 1: g0.inv(), 2: SparsePoly.const(uni, F(1, 3))}, 4)
+    _assert_same(small * small, _reference_series_product(small, small))
+    width = uni.packing.width
+    assert width == 3  # |e| = 1 takes a 3-bit field
+    for e in (2 ** (width - 2) - 1, 2 ** (width - 2), 2 ** 40):
+        big = ts({1: g0 ** -e * g2 ** e, 2: g0 ** e + 1}, 4)
+        for x, y in ((small, big), (big, small), (big, big)):
+            _assert_same(x * y, _reference_series_product(x, y))
+        assert 2 * e < 2 ** (uni.packing.width - 1)
+    assert uni.packing.width > width
+
+
+NIL = symbol_universe("nil3x", [0, 1, 2, 3], nilpotent_order=3)
+UNSCALED = {
+    # rationals and polynomials side by side in one operand
+    "mixed": poly_coeffs,
+    "nilpotent": x_polys().map(lambda p: SparsePoly(NIL, {
+        m: c for m, c in p.terms.items() if all(e > 0 for _, e in m)})
+    ).filter(bool),
+    "sqrt2": x_polys().map(lambda p: SparsePoly(UX, {
+        m: Sqrt2(c, 1) for m, c in p.terms.items()})).filter(bool),
+    "cyclo": x_polys().map(lambda p: SparsePoly(UX, {
+        m: c + CycloRational.root(5) for m, c in p.terms.items()})
+    ).filter(bool),
+}
+
+
+@pytest.mark.parametrize("nvars", [1, 3])
+@pytest.mark.parametrize("kind", sorted(UNSCALED))
+@given(data=st.data())
+def test_unscaled_products_match_reference(nvars, kind, data):
+    """Operands the product cannot scale to integers, or cannot spread
+    over monomials, give the reference's values and coefficient types."""
+    a, b = data.draw(series_pairs(nvars, UNSCALED[kind]))
+    _assert_same(a * b, _reference_series_product(a, b))
+    _assert_same(b * a, _reference_series_product(b, a))
+
+
+def _reference_exp(s: TruncatedSeries) -> TruncatedSeries:
+    """exp by the Fraction-per-step recurrence b_m = (1/m) sum k a_k b_(m-k)."""
+    n = s.order
+    b = [1] + [0] * n
+    a = [s.coeffs.get((k,), 0) for k in range(n + 1)]
+    for m in range(1, n + 1):
+        acc = 0
+        for k in range(1, m + 1):
+            if a[k]:
+                acc = acc + (k * a[k]) * b[m - k]
+        b[m] = Fraction(1, m) * acc if acc else 0
+    return TruncatedSeries(s.vars, {(k,): c for k, c in enumerate(b)}, n)
+
+
+def _reference_log(s: TruncatedSeries) -> TruncatedSeries:
+    """log by b_m = a_m - (1/m) sum_(k<m) k b_k a_(m-k), Fraction per step."""
+    n = s.order
+    a = [s.coeffs.get((k,), 0) for k in range(n + 1)]
+    b = [0] * (n + 1)
+    for m in range(1, n + 1):
+        acc = 0
+        for k in range(1, m):
+            if b[k] and a[m - k]:
+                acc = acc + (k * b[k]) * a[m - k]
+        b[m] = a[m] - Fraction(1, m) * acc if acc else a[m]
+    return TruncatedSeries(s.vars, {(k,): c for k, c in enumerate(b) if c}, n)
+
+
+LAT = lattice_universe(2)
+EXP_COEFFS = {
+    "rational": (rational_coeffs, 30),
+    "ux": (st.one_of(rational_coeffs, x_polys().filter(bool)), 7),
+    "lattice": (st.builds(
+        lambda d, n, c: SparsePoly(LAT, {(((d, n), 1),): c}),
+        st.integers(0, 1), st.integers(1, 3), small_rationals.filter(bool)),
+        8),
+    "cyclo": (cyclo_coeffs, 8),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXP_COEFFS))
+@given(data=st.data())
+def test_exp_log_match_the_fraction_recurrences(kind, data):
+    """The scaled-integer exp and log against the Fraction-per-step loops:
+    equal series with identical reprs."""
+    coeffs, top = EXP_COEFFS[kind]
+    order = data.draw(st.integers(1, top))
+    terms = data.draw(st.dictionaries(st.integers(1, order), coeffs,
+                                      max_size=6))
+    s = ts(terms, order)
+    for got, want in ((s.exp(), _reference_exp(s)),
+                      ((s + 1).log(), _reference_log(s + 1))):
+        assert got == want and repr(got) == repr(want)
+
+
+def test_exp_log_digests_frozen():
+    """reprs of three results built by series products, exp and log,
+    frozen before the spread product and the scaled exp/log."""
+    assert _digest(genus_exponential(8).law()) == \
+        "f2d24ffaa8892feb7a3d1626ea8402bca494a6088b3588c3ed4d20a69539e5ae"
+    assert _digest(universal_exponential(10).logarithm()) == \
+        "9af2ca9f82d9d4fcba7a4d024830b2e4ec53234f62e4488e274863856bf6361c"
+    assert _digest(hl_q_gen(F(1, 2), 12)) == \
+        "ac835854ec75d04476152b35eccbd0b97dd4a1a8dd250af66334054fbb53704b"
 
 
 def test_inverse_of_unit_series():
