@@ -22,7 +22,9 @@ Rational literals are ``7`` or ``7/3``; symbols are ``q1, q2, ...`` and
 ``x0, x1, ...`` for the square-free commands, ``p1, p2, ...`` (power
 sums) and ``h1, h2, ...`` (complete homogeneous) for the vertex-operator
 commands.  Multiplication is always explicit.  Partitions are
-comma-separated part lists like ``"3,2,1"``.
+comma-separated part lists like ``"3,2,1"``.  Weights are capped at 28
+(``q_k``, ``p_k`` and ``h_k`` weigh k, ``x_k`` weighs 2k+1): a symbol,
+product, power or partition above that is a usage error.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import click
 from .analytic import epsilon_rows, ml_asymptotic, ml_exp, write_epsilon_csv
 from .errors import DomainError, IncompatibleOperands, TruncationError
 from .grouplaw import GroupLaw, genus_exponential, projective_image, to_q_over_q1
-from .qfunctions import QElement, classical_q, inner, is_strict, x_in_q
+from .qfunctions import QElement, classical_q, inner_x, is_strict, x_in_q
 from .rings import SparsePoly, UPS, UX, dfact_odd
 from .series import TruncatedSeries
 from .virasoro import (FockPoly, IntersectionTable, correlator_weight,
@@ -66,6 +68,7 @@ _MAX_VOA_WINDOW = 64     # voa y-check z-exponent window
 _MAX_ROOT_ORDER = 64     # voa closure root-of-unity order
 _MAX_CPN = 12            # kw --cpn degree; memory grows ~5x per two degrees
 _MAX_POINTS = 10_000     # epsilon-table rows
+_MAX_EXPR_WEIGHT = 28    # expression and qfunction partition weight
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +142,17 @@ def _tokenize(src: str):
     return toks
 
 
+def _bound_weight(weight: int, pos: int) -> None:
+    if weight > _MAX_EXPR_WEIGHT:
+        raise ExprError(pos, f"weight {weight} is beyond the expression "
+                             f"ceiling {_MAX_EXPR_WEIGHT}")
+
+
 class _Parser:
     """Recursive descent over the grammar in the module docstring; the
-    element type is fixed by the two callbacks."""
+    element type is fixed by the two callbacks.  A symbol, product or power
+    whose weight would pass ``_MAX_EXPR_WEIGHT`` is refused before it is
+    formed."""
 
     def __init__(self, src: str, const, symbol):
         self.toks = _tokenize(src)
@@ -175,8 +186,10 @@ class _Parser:
     def _term(self):
         f = self._factor()
         while self._peek()[:2] == ("op", "*"):
-            self._take()
-            f = f * self._factor()
+            pos = self._take()[2]
+            g = self._factor()
+            _bound_weight((f.max_weight() or 0) + (g.max_weight() or 0), pos)
+            f = f * g
         return f
 
     def _factor(self):
@@ -186,6 +199,7 @@ class _Parser:
             kind, txt, pos = self._take()
             if kind != "num" or "/" in txt:
                 raise ExprError(pos, "exponent must be a nonnegative integer")
+            _bound_weight((base.max_weight() or 0) * int(txt), pos)
             base = base ** int(txt)
         return base
 
@@ -218,14 +232,12 @@ def _q_symbol(name: str, pos: int) -> QElement:
     m = re.fullmatch(r"q(\d+)", name)
     if m:
         k = int(m.group(1))
-        if k > 64:
-            raise ExprError(pos, f"generator index {k} beyond desk scale")
+        _bound_weight(k, pos)
         return QElement.one() if k == 0 else QElement.gen(k)
     m = re.fullmatch(r"x(\d+)", name)
     if m:
         k = int(m.group(1))
-        if k > 32:
-            raise ExprError(pos, f"generator index {k} beyond desk scale")
+        _bound_weight(2 * k + 1, pos)  # x_k has weight 2k + 1
         return x_in_q(k)
     raise ExprError(pos, f"unknown symbol {name!r} (expected q<k> or x<k>)")
 
@@ -275,6 +287,8 @@ def _parse_partition(src: str) -> tuple[int, ...]:
     if not parts or any(p < 1 for p in parts):
         raise click.UsageError("partition parts must be positive integers")
     parts = tuple(sorted(parts, reverse=True))
+    _require(sum(parts) <= _MAX_EXPR_WEIGHT, f"partition weight {sum(parts)} "
+             f"is beyond the ceiling {_MAX_EXPR_WEIGHT}")
     if not is_strict(parts):
         raise click.UsageError(
             f"partition {src!r} is not strict (parts must be distinct)")
@@ -328,32 +342,11 @@ def _parse_complex(src: str):
 # renderers and emission
 # ---------------------------------------------------------------------------
 
-def _render_series(ts: TruncatedSeries) -> str:
-    """One-line rendering of a scalar univariate series with an O-tail."""
-    var = ts.vars[0]
-    bits = []
-    for (k,), c in sorted(ts.coeffs.items()):
-        if not c:
-            continue
-        mono = "1" if k == 0 else (var if k == 1 else f"{var}^{k}")
-        if k == 0:
-            bits.append(str(c))
-        elif c == 1:
-            bits.append(mono)
-        elif c == -1:
-            bits.append(f"-{mono}")
-        else:
-            bits.append(f"{c}*{mono}")
-    out = ""
-    for b in bits:
-        if not out:
-            out = b
-        elif b.startswith("-"):
-            out += f" - {b[1:]}"
-        else:
-            out += f" + {b}"
-    tail = f"O({var}^{ts.order + 1})"
-    return f"{out} + {tail}" if out else tail
+def _named_terms(terms: dict[str, str]) -> str:
+    """One line for a {monomial name: coefficient text} table entry, as
+    ``voa table`` and ``voa lattice`` print it."""
+    return " + ".join(name if c == "1" else f"{c}*{name}"
+                      for name, c in terms.items()) or "0"
 
 
 def _jsonify_value(v):
@@ -448,9 +441,9 @@ def qreduce(obj, expr):
     """
     cfg = _config(obj, "qreduce")
     e = parse_q_expr(expr)
-    _emit(cfg,
-          pretty=[repr(e), f"x-basis: {e.to_x()!r}"],
-          obj={"q_basis": repr(e), "x_basis": repr(e.to_x())})
+    x = repr(e.to_x())
+    _emit(cfg, pretty=[repr(e), f"x-basis: {x}"],
+          obj={"q_basis": repr(e), "x_basis": x})
 
 
 @cli.command()
@@ -462,10 +455,9 @@ def qfunction(obj, partition):
     cfg = _config(obj, "qfunction")
     lam = _parse_partition(partition)
     e = classical_q(lam)
-    _emit(cfg,
-          pretty=[repr(e), f"x-basis: {e.to_x()!r}"],
-          obj={"partition": list(lam), "q_basis": repr(e),
-               "x_basis": repr(e.to_x())})
+    x = repr(e.to_x())
+    _emit(cfg, pretty=[repr(e), f"x-basis: {x}"],
+          obj={"partition": list(lam), "q_basis": repr(e), "x_basis": x})
 
 
 @cli.command("inner")
@@ -480,14 +472,12 @@ def inner_cmd(obj, left, right):
     cfg = _config(obj, "inner")
     a = parse_q_expr(left, "LEFT")
     b = parse_q_expr(right, "RIGHT")
-    v = inner(a, b)
+    ax, bx = a.to_x(), b.to_x()
+    v = inner_x(ax, bx)
     if cfg.verbosity:
-        click.echo(f"x-basis: left = {a.to_x()!r}, right = {b.to_x()!r}",
-                   err=True)
-    _emit(cfg,
-          pretty=[str(v)],
-          obj={"value": str(v), "left_x": repr(a.to_x()),
-               "right_x": repr(b.to_x())})
+        click.echo(f"x-basis: left = {ax!r}, right = {bx!r}", err=True)
+    _emit(cfg, pretty=[str(v)],
+          obj={"value": str(v), "left_x": repr(ax), "right_x": repr(bx)})
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +723,7 @@ def fgl(obj, exp_file):
           pretty=[f"order: {order}"]
           + [f"{name}: {'pass' if good else 'FAIL'}"
              for name, good in axioms.items()]
-          + [f"logarithm: {_render_series(log)}"],
+          + [f"logarithm: {log!r}"],
           obj={"order": order, "axioms": axioms,
                "logarithm": {str(k): str(log.coefficient(k))
                              for k in range(1, order + 1)
@@ -905,10 +895,9 @@ def witt_qcheck(obj, coeffs, order):
     w = q_subfunctor_check(h)
     pretty = [f"square-free parity: {'pass' if w.ok else 'FAIL'}"]
     if not w.ok:
-        pretty.append(f"residual: {_render_series(w.residual)}")
+        pretty.append(f"residual: {w.residual!r}")
     _emit(cfg, pretty=pretty,
-          obj={"ok": w.ok,
-               "residual": None if w.ok else _render_series(w.residual)})
+          obj={"ok": w.ok, "residual": None if w.ok else repr(w.residual)})
     if not w.ok:
         sys.exit(1)
 
@@ -980,10 +969,8 @@ def voa_table(obj, n, t_str, weight_cap):
     op = vertex_Y_powersum(n, t, weight_cap=weight_cap)
     table = vertex_table_obj(op)
     _emit(cfg,
-          pretty=[f"{z}: " + " + ".join(
-              name if c == "1" else f"{c}*{name}"
-              for name, c in entry.items())
-              for z, entry in table["coefficients"].items()],
+          pretty=[f"{z}: {_named_terms(entry)}"
+                  for z, entry in table["coefficients"].items()],
           obj=table)
 
 
@@ -1052,11 +1039,8 @@ def voa_lattice(obj, gram_file, point_str, target_str, weight_cap):
     table = lattice_action_obj(op, state, applied=applied)
     audit = "clean" if not violations else f"{len(violations)} violations"
     pretty = [f"point: {point_str}", f"grading audit: {audit}"]
-    for entry in table["entries"]:
-        terms = " + ".join(name if c == "1" else f"{c}*{name}"
-                           for name, c in entry["terms"].items()) or "0"
-        pretty.append(
-            f"z^{entry['z']} @ {tuple(entry['component'])}: {terms}")
+    pretty += [f"z^{e['z']} @ {tuple(e['component'])}: "
+               f"{_named_terms(e['terms'])}" for e in table["entries"]]
     table["grading_audit"] = audit
     _emit(cfg, pretty=pretty, obj=table)
     if violations:

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 from .errors import DomainError, IncompatibleOperands
 from .rings import (SparsePoly, UQ, UX, as_fraction, over_common_denominator,
-                    symbol_universe)
+                    render_terms, symbol_universe)
 from .series import TruncatedSeries
 
 Partition = tuple[int, ...]  # strictly decreasing, entries >= 1
@@ -244,25 +244,9 @@ class QElement:
         return out
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for part in sorted(self.terms, key=lambda p: (sum(p), p)):
-            c = self.terms[part]
-            mono = "*".join(f"q{p}" for p in part)
-            if not part:
-                body = str(c)
-            elif c == 1:
-                body = mono
-            elif c == -1:
-                body = f"-{mono}"
-            else:
-                body = f"{c}*{mono}"
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return render_terms(("*".join(f"q{p}" for p in part), self.terms[part])
+                            for part in sorted(self.terms,
+                                               key=lambda p: (sum(p), p)))
 
 
 # ----------------------------------------------------------------- coproduct

@@ -94,6 +94,29 @@ def coeff_inv(c):
     raise DomainError(f"cannot invert scalar of type {type(c).__name__}")
 
 
+def row_reduce(rows: list[list]) -> tuple[Fraction, list[list]]:
+    """Gauss-Jordan elimination over Q of the n leading columns of an n-row
+    rational matrix: (their determinant, the reduced rows).  With a nonzero
+    determinant those columns end as the identity, so any further column
+    holds the solution of the square system with it as right-hand side; a
+    zero determinant stops the reduction early."""
+    n, det, m = len(rows), Fraction(1), [list(r) for r in rows]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return Fraction(0), m
+        if piv != col:
+            m[col], m[piv], det = m[piv], m[col], -det
+        pv = Fraction(m[col][col])
+        det *= pv
+        m[col] = [x / pv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det, m
+
+
 class Sqrt2:
     """Element a + b*sqrt(2) of Q(sqrt(2)), exact."""
 
@@ -309,29 +332,16 @@ class CycloRational:
     def inv(self) -> "CycloRational":
         if not self:
             raise DomainError("inverting 0 in cyclotomic field")
+        # solve (multiplication-by-self matrix) x = e_0: column j of the
+        # matrix is self * t^j
         n = self.p - 1
-        # Solve (mult-by-self matrix) x = e_0 by Gaussian elimination.
-        cols = []
-        for j in range(n):
-            basis = [Fraction(0)] * n
-            basis[j] = Fraction(1)
-            prod = self * CycloRational(self.p, basis)
-            cols.append(list(prod.coeffs))
-        # rows i, cols j: M[i][j] = cols[j][i]
-        M = [[cols[j][i] for j in range(n)] + [Fraction(1 if i == 0 else 0)]
-             for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-            if piv is None:
-                raise DomainError("singular multiplication matrix")
-            M[col], M[piv] = M[piv], M[col]
-            pv = M[col][col]
-            M[col] = [x / pv for x in M[col]]
-            for r in range(n):
-                if r != col and M[r][col] != 0:
-                    f = M[r][col]
-                    M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-        return CycloRational(self.p, [M[i][n] for i in range(n)])
+        cols = [(self * CycloRational(self.p, [int(i == j) for i in range(n)])
+                 ).coeffs for j in range(n)]
+        det, m = row_reduce([[c[i] for c in cols] + [int(i == 0)]
+                             for i in range(n)])
+        if not det:
+            raise DomainError("singular multiplication matrix")
+        return CycloRational(self.p, [r[n] for r in m])
 
     def __bool__(self):
         return any(self.coeffs)
@@ -515,11 +525,25 @@ def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(out) + m1[i:] + m2[j:]
 
 
-def _coeff_str(c) -> str:
-    """Render a scalar coefficient for a term."""
-    if isinstance(c, (int, Fraction)):
-        return str(c)
-    return f"({c!r})"
+def render_terms(pairs: Iterable[tuple[str, Any]]) -> str:
+    """One line for a sum of (monomial text, coefficient) pairs, given in
+    display order.  An empty monomial is the constant term; an int or
+    Fraction coefficient of +-1 is elided, any other scalar is written
+    ``({c!r})``; later terms are joined by ' - ' when they start with '-'
+    and by ' + ' otherwise.  No terms at all render as '0'."""
+    out = []
+    for mono, c in pairs:
+        if not isinstance(c, (int, Fraction)):
+            body = f"({c!r})*{mono}" if mono else f"({c!r})"
+        elif not mono:
+            body = str(c)
+        else:
+            body = mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}"
+        if not out:
+            out.append(body)
+        else:
+            out.append(f" - {body[1:]}" if body[0] == "-" else f" + {body}")
+    return "".join(out) or "0"
 
 
 class SparsePoly:
@@ -799,24 +823,11 @@ class SparsePoly:
         return sorted(self.terms.items(),
                       key=lambda mc: (self.monomial_weight(mc[0]), mc[0]))
 
+    def monomial_str(self, mono: Monomial) -> str:
+        """Display text of a monomial ('' for the constant monomial)."""
+        fmt = self.universe.fmt
+        return "*".join(fmt(k) + (f"^{e}" if e != 1 else "") for k, e in mono)
+
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, c in self.sorted_terms():
-            gens = "*".join(
-                self.universe.fmt(k) + (f"^{e}" if e != 1 else "")
-                for k, e in mono)
-            if not mono:
-                body = _coeff_str(c)
-            elif isinstance(c, (int, Fraction)) and c == 1:
-                body = gens
-            elif isinstance(c, (int, Fraction)) and c == -1:
-                body = f"-{gens}"
-            else:
-                body = f"{_coeff_str(c)}*{gens}"
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return render_terms((self.monomial_str(m), c)
+                            for m, c in self.sorted_terms())

@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from .errors import DomainError, IncompatibleOperands
 from .rings import (MonomialPacking, SparsePoly, Universe, coeff_inv,
-                    over_common_denominator)
+                    over_common_denominator, render_terms)
 
 ExpVec = tuple[int, ...]
 _RATIONAL = {int, Fraction}
@@ -487,37 +487,10 @@ class TruncatedSeries:
                                self.order, self.low)
 
     def __repr__(self):
-        def mono(key: ExpVec) -> str:
-            bits = []
-            for name, e in zip(self.vars, key):
-                if e == 1:
-                    bits.append(name)
-                elif e:
-                    bits.append(f"{name}^{e}")
-            return "*".join(bits)
-
-        parts = []
-        for key in sorted(self.coeffs, key=lambda k: (sum(k), k)):
-            c = self.coeffs[key]
-            m = mono(key)
-            if isinstance(c, (int, Fraction)):
-                if not m:
-                    body = str(c)
-                elif c == 1:
-                    body = m
-                elif c == -1:
-                    body = f"-{m}"
-                else:
-                    body = f"{c}*{m}"
-            else:
-                body = f"({c!r})*{m}" if m else f"({c!r})"
-            parts.append(body)
-        if not parts:
-            head = "0"
-        else:
-            head = parts[0]
-            for p in parts[1:]:
-                head += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        head = render_terms(
+            ("*".join(v if e == 1 else f"{v}^{e}"
+                      for v, e in zip(self.vars, key) if e), self.coeffs[key])
+            for key in sorted(self.coeffs, key=lambda k: (sum(k), k)))
         ovar = self.vars[0] if len(self.vars) == 1 else "deg"
         return f"{head} + O({ovar}^{self.order + 1})"
 

@@ -41,6 +41,7 @@ from .rings import (
     Universe,
     UPS,
     coeff_is_integral,
+    row_reduce,
     symbol_universe,
 )
 from .series import TruncatedSeries
@@ -320,26 +321,6 @@ class NondegeneracyWitness:
         return all(self.gram[i][i] != 0 for i in range(self.order))
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
-
-
 def nondegeneracy_witness(order: int = 6,
                           nilpotent_order: int = 7) -> NondegeneracyWitness:
     """Pair the spanning family 1 + sT^i against itself over Q[s]/(s^k).
@@ -361,8 +342,8 @@ def nondegeneracy_witness(order: int = 6,
             c = p.coefficient({"s": 2}) if isinstance(p, SparsePoly) else 0
             row.append(Fraction(c))
         gram.append(row)
-    det = _det([list(r) for r in gram])
-    return NondegeneracyWitness(order, tuple(tuple(r) for r in gram), det)
+    return NondegeneracyWitness(order, tuple(tuple(r) for r in gram),
+                                row_reduce(gram)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -600,41 +581,29 @@ def vertex_Y_element(b: SparsePoly, t=0, *, weight_cap: int) -> VertexOperator:
 # action on states and matrix elements
 # ---------------------------------------------------------------------------
 
-def _apply_sd_monomial(mono, coeff, state: SparsePoly) -> SparsePoly:
-    """Normal-ordered action of one tensor-square monomial on a state.
-
-    Dual keys differentiate first ((1/m) d/dp~_m per power), then the
-    multiplication keys multiply.
-    """
-    out = state * coeff
-    mult: dict[int, int] = {}
-    for (side, m), e in mono:
-        if side == "d":
-            for _ in range(e):
-                out = out.differentiate(m) * Fraction(1, m)
-                if not out:
-                    return out
-        else:
-            mult[m] = mult.get(m, 0) + e
-    if mult:
-        out = out * SparsePoly.monomial(UPS, mult)
-    return out
-
-
 def vertex_apply(op: VertexOperator, state: SparsePoly) -> dict[int, SparsePoly]:
     """Apply the operator to a polynomial state in the power sums.
 
     Returns {z-exponent: resulting state}; entries are sound wherever the
     weight cap covers the modes that can act (the cap bounds the s-side
-    weight added and the d-side weight removed).
+    weight added and the d-side weight removed).  Normal ordered: each
+    distinct dual part of an entry acts first (``_annihilate``), then its
+    result is multiplied by the matching multiplication part.
     """
     if state.universe != UPS:
         raise IncompatibleOperands("states are power-sum polynomials")
     out: dict[int, SparsePoly] = {}
     for ez, poly in op.table.items():
-        acc = SparsePoly.zero(UPS)
+        by_dual: dict[tuple, dict] = {}
         for mono, c in poly.terms.items():
-            acc = acc + _apply_sd_monomial(mono, c, state)
+            dual = tuple((m, e) for (side, m), e in mono if side == "d")
+            mult = tuple((m, e) for (side, m), e in mono if side == "s")
+            by_dual.setdefault(dual, {})[mult] = c
+        acc = SparsePoly.zero(UPS)
+        for dual, mult in by_dual.items():
+            lowered = _annihilate(SparsePoly(UPS, {dual: 1}), state)
+            if lowered:
+                acc = acc + lowered * SparsePoly(UPS, mult)
         if acc:
             out[ez] = acc
     return dict(sorted(out.items()))
@@ -1091,7 +1060,8 @@ def vertex_Y_lattice(point: Sequence[int], lattice: LatticeData, *,
 
 
 def _annihilate(ann: SparsePoly, state: SparsePoly) -> SparsePoly:
-    """Apply a polynomial in the dual modes: (d, n) acts as (1/n) d/dp~_n^(d)."""
+    """Apply a polynomial in the dual modes: a state generator of weight n
+    (p~_n, or p~_n^(d) on a lattice) acts as (1/n) d/dp~_n."""
     out = SparsePoly.zero(state.universe)
     for mono, c in ann.terms.items():
         term = state
@@ -1101,7 +1071,7 @@ def _annihilate(ann: SparsePoly, state: SparsePoly) -> SparsePoly:
                 term = term.differentiate(key)
             if not term:
                 break
-            scale = scale * Fraction(1, key[1] ** e)
+            scale = scale * Fraction(1, state.universe.weight(key) ** e)
         if term:
             out = out + term * scale
     return out
@@ -1180,14 +1150,9 @@ def lattice_grading_audit(op: LatticeVertexOperator,
 
 def vertex_table_obj(op: VertexOperator) -> dict:
     """JSON-ready Laurent-coefficient table of a tensor-square operator."""
-    coeffs = {}
-    for e, poly in sorted(op.table.items()):
-        entry = {}
-        for mono, c in sorted(poly.terms.items()):
-            name = "*".join(f"{SD.fmt(k)}^{x}" if x != 1 else SD.fmt(k)
-                            for k, x in mono) or "1"
-            entry[name] = str(c)
-        coeffs[f"z^{e}"] = entry
+    coeffs = {f"z^{e}": {poly.monomial_str(mono) or "1": str(c)
+                         for mono, c in sorted(poly.terms.items())}
+              for e, poly in sorted(op.table.items())}
     return {"weight_cap": op.weight_cap, "label": op.label,
             "coefficients": coeffs}
 
@@ -1200,16 +1165,11 @@ def lattice_action_obj(op: LatticeVertexOperator,
     (``applied``: ``lattice_apply(op, state)``, if already computed)."""
     if applied is None:
         applied = lattice_apply(op, state)
-    uni = lattice_universe(op.lattice.rank)
     entries = []
     for e, elem in applied.items():
         for pt, poly in sorted(elem.components.items()):
-            terms = {}
-            for mono, c in sorted(poly.terms.items()):
-                name = "*".join(
-                    f"{uni.fmt(k)}^{x}" if x != 1 else uni.fmt(k)
-                    for k, x in mono) or "1"
-                terms[name] = str(c)
+            terms = {poly.monomial_str(mono) or "1": str(c)
+                     for mono, c in sorted(poly.terms.items())}
             entries.append({"z": e, "component": list(pt), "terms": terms})
     return {
         "point": list(op.point),

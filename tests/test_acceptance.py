@@ -26,7 +26,7 @@ from qgenus.grouplaw import (genus_exponential, scalar_exponential,
 from qgenus.qfunctions import (QElement, classical_q, coproduct, inner,
                                lambda_duality_check, strict_partitions,
                                x_in_q, xpoly_to_q)
-from qgenus.rings import SparsePoly, UPS, UX, symbol_universe
+from qgenus.rings import SparsePoly, UPS, UX, row_reduce, symbol_universe
 from qgenus.series import TruncatedSeries
 from qgenus.virasoro import (FockPoly, IntersectionTable, alpha_apply,
                              annihilation_check, genus_of,
@@ -108,26 +108,8 @@ def test_criterion_2_newton_and_round_trips():
 
 def _leading_minors(G):
     """All leading principal minors of a square Fraction matrix, exactly."""
-    out = []
-    for k in range(1, len(G) + 1):
-        m = [row[:k] for row in G[:k]]
-        det = F(1)
-        for col in range(k):
-            piv = next((r for r in range(col, k) if m[r][col] != 0), None)
-            if piv is None:
-                det = F(0)
-                break
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, k):
-                if m[r][col]:
-                    f = m[r][col] * inv
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        out.append(det)
-    return out
+    return [row_reduce([row[:k] for row in G[:k]])[0]
+            for k in range(1, len(G) + 1)]
 
 
 def test_criterion_3_inner_product():

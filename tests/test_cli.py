@@ -20,8 +20,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qgenus.cli import (ExprError, RunConfig, cli, parse_p_expr, parse_q_expr,
-                        _render_series)
+from qgenus.cli import ExprError, RunConfig, cli, parse_p_expr, parse_q_expr
 from qgenus.errors import DomainError
 from qgenus.qfunctions import QElement
 from qgenus.rings import SparsePoly, UPS
@@ -71,6 +70,10 @@ class TestGrammar:
         ("y7", 0),
         ("1/0", 0),
         ("q1 q2", 3),
+        ("q1^29", 3),
+        ("q14*(q1+q15)", 3),
+        ("x14", 0),
+        ("q29", 0),
     ])
     def test_errors_carry_positions(self, src, pos):
         with pytest.raises(ExprError) as err:
@@ -85,8 +88,7 @@ class TestGrammar:
     def test_series_renderer(self):
         ts = TruncatedSeries.univariate(
             "T", {0: 1, 2: -1, 3: Fraction(1, 2)}, 4)
-        assert _render_series(ts) == "1 - T^2 + 1/2*T^3 + O(T^5)"
-        assert _render_series(TruncatedSeries.zero(("T",), 3)) == "O(T^4)"
+        assert repr(ts) == "1 - T^2 + 1/2*T^3 + O(T^5)"
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +581,18 @@ class TestExitCodes:
         (("voa", "y-check", "--b", "p1", "--bprime", "p2",
           "--window", "100"), "--window is capped at 64"),
         (("voa", "closure", "--n", "1", "--order", "100"),
-         "--order is capped at 64")],
-        ids=["intersection-weight", "y-check-window", "closure-order"])
+         "--order is capped at 64"),
+        (("qreduce", "(q1+q2)^15"), "weight 30 is beyond the expression "
+                                    "ceiling 28"),
+        (("inner", "q1", "q28*x0"), "weight 29 is beyond the expression "
+                                    "ceiling 28"),
+        (("qfunction", "8,7,6,5,3"), "partition weight 29 is beyond the "
+                                     "ceiling 28"),
+        (("voa", "y-check", "--b", "(p1+p2+p3+p4+p5+p6)^24", "--bprime",
+          "p1"), "weight 144 is beyond the expression ceiling 28")],
+        ids=["intersection-weight", "y-check-window", "closure-order",
+             "qreduce-weight", "inner-weight", "qfunction-weight",
+             "y-check-weight"])
     def test_each_command_names_its_own_cap(self, argv, msg):
         r = run(*argv)
         assert r.exit_code == 2 and msg in r.stderr
@@ -667,88 +679,147 @@ _LAW_CAP_FILE = json.dumps({"order": 10, "coefficients": {
 
 _VOA_TABLE_CAP = ("voa", "table", "--n", "2", "--t", "1/2",
                   "--weight-cap", "12")
-# two order-32 Witt vectors with small integer coefficients
+# two order-32 Witt vectors with small integer coefficients; the first
+# fails the square-free parity check, which prints its residual series
 _W32 = (",".join(str(5 * k % 7 - 3) for k in range(1, 33)),
         ",".join(str((3 * k + 1) % 5 - 2) for k in range(1, 33)))
+# expressions and a partition at the weight ceiling of 28
+_DENSE_28 = "(1+q1+q2+q3+q4)^7"
+_QREDUCE_CAP = ("qreduce", _DENSE_28)
+_QFUNCTION_CAP = ("qfunction", "7,6,5,4,3,2,1")
+_INNER_CAP = ("inner", _DENSE_28, _DENSE_28)
+_FOCK_CAP = ("virasoro-check", "--m", "6", "--n", "-6", "--max-weight", "10")
 
 # (argv, budget in seconds, sha256 of stdout or None, peak-RSS ceiling in
-# MB).  The lattice digests were taken before the normal-ordered lattice
-# operator, the intersection digests before the integer table kernel, the
-# integrality and law digests before the scaled-integer series product,
-# and the kw --cpn 12, voa table and witt digests before the products
-# spread over monomials and the scaled-integer exp/log.  At those commits
-# the peaks were 21 MB (lattice), 20 MB (intersection), 234 MB (kw --cpn
-# 12), 22 MB (integrality), 20 MB (law) and 20 MB (voa table, witt).
+# MB, exit code).  The lattice digests were taken before the
+# normal-ordered lattice operator, the intersection digests before the
+# integer table kernel, the integrality and law digests before the
+# scaled-integer series product, and the kw --cpn 12, voa table and witt
+# digests before the products spread over monomials and the
+# scaled-integer exp/log.  At those commits the peaks were 21 MB
+# (lattice), 20 MB (intersection), 234 MB (kw --cpn 12), 22 MB
+# (integrality), 20 MB (law) and 20 MB (voa table, witt).  The
+# weight-ceiling, qcheck, virasoro-check and kw --modp digests were taken
+# before the shared term renderer; there the qreduce and inner rungs took
+# 5 s and 9-10 s at 29 MB, the rest at most 2 s and 23 MB.
 CAP_LADDER = [
     pytest.param(
         _LATTICE_CAP, 20,
         "34aee269e84b414e8aa6c8b72c158326b947a0dc9def18ba30f699c4e76d12d2",
-        48, id="voa-lattice-12"),
+        48, 0, id="voa-lattice-12"),
     pytest.param(
         ("-f", "json") + _LATTICE_CAP, 20,
         "2b3bfb53446cde85e0f5ff44e5a0af096c40c64cb52c03c0f92c42196385a4b2",
-        48, id="voa-lattice-12-json"),
+        48, 0, id="voa-lattice-12-json"),
     pytest.param(
         ("kw", "--cpn", "12"), 60,
         "87221994156ff688e5a9bf00a2bd149b33ae32d9e6b5fe34d407e6bfd539dba2",
-        320, id="kw-cpn-12"),
+        320, 0, id="kw-cpn-12"),
     pytest.param(
         _TABLE_CAP, 10,
         "cd2d831a85ddd9e754ea75ee402b70973acc4ced3bcd33ff1bab43e130bfee36",
-        48, id="intersection-13"),
+        48, 0, id="intersection-13"),
     pytest.param(
         ("-f", "json") + _TABLE_CAP, 10,
         "1ec601bb5ae59672dda506456adaef9ca13ec181a278ec7b239c69f4dcab3f1a",
-        48, id="intersection-13-json"),
+        48, 0, id="intersection-13-json"),
     pytest.param(
         ("-f", "csv") + _TABLE_CAP, 10,
         "394498431e6ff8d1e0a072feb9692638f45903ea163ec1ea56799ffec527073a",
-        48, id="intersection-13-csv"),
+        48, 0, id="intersection-13-csv"),
     pytest.param(
         _INTEGRALITY_CAP, 10,
         "7f9c49be94e876e66081c8a26f8bf362a0ab477685ca405d52fe89307b8b02ee",
-        48, id="kw-integrality-32"),
+        48, 0, id="kw-integrality-32"),
     pytest.param(
         ("-f", "json") + _INTEGRALITY_CAP, 10,
         "b76b30bf05380543043338b07d98a9da9e8fd6414cb66e3206fbc2961832543e",
-        48, id="kw-integrality-32-json"),
+        48, 0, id="kw-integrality-32-json"),
     pytest.param(
         _LAW_CAP, 10,
         "99cbe4468c6614c8b7b9b0020f579318bd9c0760fb6affe95e61b875479a86a5",
-        48, id="fgl-10"),
+        48, 0, id="fgl-10"),
     pytest.param(
         ("-f", "json") + _LAW_CAP, 10,
         "6ca8e66211e5f5ffad2e33a0bb3ad34d06b9ea58d5e33c4d4dc62616e6bcfeb3",
-        48, id="fgl-10-json"),
+        48, 0, id="fgl-10-json"),
     pytest.param(
         _VOA_TABLE_CAP, 10,
         "6d2ff04fe12a7c17cd78458a12732746a11192472242d041ba472c551cb62726",
-        48, id="voa-table-12"),
+        48, 0, id="voa-table-12"),
     pytest.param(
         ("-f", "json") + _VOA_TABLE_CAP, 10,
         "325e234d1f4d2a430373bc7342684f481be29bf39cc44363ebccd49cd88a11ee",
-        48, id="voa-table-12-json"),
+        48, 0, id="voa-table-12-json"),
     pytest.param(
         ("witt", "ghost", _W32[0]), 10,
         "43d803ea328d911559b52e599100bd8c1e25f2ac04f99f93b032eb113d25bb22",
-        48, id="witt-ghost-32"),
+        48, 0, id="witt-ghost-32"),
     pytest.param(
         ("-f", "json", "witt", "ghost", _W32[0]), 10,
         "ec089ce6ea6caa5233a4cf067c71a9f1cc9c31664e3c3ca7f3f5eb380f0cac99",
-        48, id="witt-ghost-32-json"),
+        48, 0, id="witt-ghost-32-json"),
     pytest.param(
         ("witt", "mul") + _W32, 10,
         "40eb23abfeac6915024e5a7ebb29200b8b8c5c5cc1ecb24317a0aa9357ed1263",
-        48, id="witt-mul-32"),
+        48, 0, id="witt-mul-32"),
     pytest.param(
         ("-f", "json", "witt", "mul") + _W32, 10,
         "75ee2a3beae417d718ad5ae8e55713ecd1662f9c08adee05c6b71d66c3fe092c",
-        48, id="witt-mul-32-json"),
+        48, 0, id="witt-mul-32-json"),
+    pytest.param(
+        ("witt", "qcheck", _W32[0]), 10,
+        "b1e8d84d75da6f6db17418c66f43e5e093e1067990857b4b79a346c113f0ffb8",
+        48, 1, id="witt-qcheck-32"),
+    pytest.param(
+        ("-f", "json", "witt", "qcheck", _W32[0]), 10,
+        "7b6a8e0d1c0045b31134e621f805e9d3ef02398d17712dfd79ab9ce38edd6ea3",
+        48, 1, id="witt-qcheck-32-json"),
+    pytest.param(
+        _FOCK_CAP, 10,
+        "b73607ae10f356cdd963961d584b53ad38f279bdbead6ab314a0983a53945fa0",
+        48, 0, id="virasoro-check-10"),
+    pytest.param(
+        ("-f", "json") + _FOCK_CAP, 10,
+        "68c97f646944de39bc6b9741584ed0917425a558333d06d8c592c8de398288f1",
+        48, 0, id="virasoro-check-10-json"),
+    pytest.param(
+        ("kw", "--modp", "13"), 10,
+        "a881af7133cf2b866a1c20be6b9268eb8362ca17bb8ffe03d51c46feb6d72fdf",
+        48, 0, id="kw-modp-13"),
+    pytest.param(
+        ("-f", "json", "kw", "--modp", "13"), 10,
+        "de9f404b8684420b25b4686e867d15dd414bea02a3c8f4fbf9e62302134fb72f",
+        48, 0, id="kw-modp-13-json"),
+    pytest.param(
+        _QREDUCE_CAP, 10,
+        "f1737750f92cca40a70f8c402adf709143ef6a3d00d115ccf5541952283bf436",
+        48, 0, id="qreduce-28"),
+    pytest.param(
+        ("-f", "json") + _QREDUCE_CAP, 10,
+        "d6fca6d62229d89793b53099744a9c6d926b9e69f56ee7a3f11002076329804b",
+        48, 0, id="qreduce-28-json"),
+    pytest.param(
+        _QFUNCTION_CAP, 10,
+        "58f2531fe37b5fdb62622d4ef8991d6b8bf43c8c17c324d04910f99a7ec4d0ea",
+        48, 0, id="qfunction-28"),
+    pytest.param(
+        ("-f", "json") + _QFUNCTION_CAP, 10,
+        "d53915bca0b6bab3ae6f2b3715eeb4a69a6ad5b444b5a29a0f79454e6413a645",
+        48, 0, id="qfunction-28-json"),
+    pytest.param(
+        _INNER_CAP, 10,
+        "9a5cc1a6385f1dd487004cb4a07ff0af4b31be8293795eafe1012c7007225e4e",
+        48, 0, id="inner-28"),
+    pytest.param(
+        ("-f", "json") + _INNER_CAP, 10,
+        "e1293d56db67b2c382878ad3a9204207cc27377d4702ee73a18c31d9a0acadaf",
+        48, 0, id="inner-28-json"),
 ]
 
 
-@pytest.mark.parametrize("argv,budget,digest,rss_mb", CAP_LADDER)
-def test_cap_ladder(argv, budget, digest, rss_mb, tmp_path):
+@pytest.mark.parametrize("argv,budget,digest,rss_mb,exit_code", CAP_LADDER)
+def test_cap_ladder(argv, budget, digest, rss_mb, exit_code, tmp_path):
     files = {"@gram": "[[2,1],[1,2]]", "@exp": _LAW_CAP_FILE}
     for name, text in files.items():
         (tmp_path / name[1:]).write_text(text)
@@ -763,7 +834,7 @@ def test_cap_ladder(argv, budget, digest, rss_mb, tmp_path):
     for args in runs:
         code, out, err, elapsed, peak = _run_child(args, env, budget,
                                                    tmp_path)
-        assert code == 0, err.decode()
+        assert code == exit_code, err.decode()
         assert elapsed < budget
         assert peak < rss_mb, f"peak RSS {peak:.1f} MB, ceiling {rss_mb} MB"
         if digest is not None:

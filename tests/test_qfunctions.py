@@ -260,6 +260,10 @@ def test_inner_product_monomial_norms():
 def test_two_row_member_is_the_known_one():
     assert classical_q((2, 1)) == QElement({(2, 1): 1, (3,): -2})
     assert repr(classical_q((2, 1))) == "q2*q1 - 2*q3"
+    assert repr(QElement.zero()) == "0"
+    assert repr(coproduct(classical_q((2, 1)))) == (
+        "1*(1 (x) q2*q1) + -2*(1 (x) q3) + 1*(q1 (x) q2) + 1*(q2 (x) q1)"
+        " + 1*(q2*q1 (x) 1) + -2*(q3 (x) 1)")
     assert classical_q((4,)) == QElement.gen(4)
     assert classical_q(()) == QElement.one()
 

@@ -1,6 +1,8 @@
 """Kernel tests: exact scalars, sparse polynomials, truncated series."""
 
 import hashlib
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from qgenus.grouplaw import (GroupLaw, genus_exponential, scalar_exponential,
 from qgenus.qfunctions import QElement
 from qgenus.rings import (CycloRational, SparsePoly, Sqrt2, UPS, UQ, UT, UX,
                           coeff_inv, dfact_odd, double_factorial,
-                          indexed_universe, symbol_universe)
+                          indexed_universe, row_reduce, symbol_universe)
 from qgenus.series import TruncatedSeries, lagrange_reversion_coefficient
 from qgenus.witt import SD, hl_q_gen, lattice_universe
 
@@ -32,6 +34,36 @@ def series_strategy(order=6, low=0):
 
 
 # ---------------------------------------------------------------- scalars
+
+def _leibniz_det(m):
+    """Determinant by the permutation expansion, as an oracle."""
+    n, total = len(m), F(0)
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j]
+                           for i in range(n) for j in range(i + 1, n))
+        total += sign * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2),
+             min_size=n + 1, max_size=n + 1), min_size=n, max_size=n)))
+def test_row_reduce_determinant_and_solution(rows):
+    n = len(rows)
+    det, m = row_reduce(rows)
+    assert det == _leibniz_det([r[:n] for r in rows])
+    if det:
+        x = [r[n] for r in m]
+        assert all(sum(r[j] * x[j] for j in range(n)) == r[n] for r in rows)
+
+
+def test_row_reduce_singular_and_swapped():
+    assert row_reduce([[1, 2], [2, 4]])[0] == 0
+    assert row_reduce([[0, 1], [1, 0]])[0] == -1
+    assert row_reduce([[0, 0], [0, 0]])[0] == 0
+    det, m = row_reduce([[2, 1, 3], [1, 3, 5]])
+    assert det == 5 and m == [[1, 0, F(4, 5)], [0, 1, F(7, 5)]]
+
 
 def test_double_factorials():
     assert [double_factorial(m) for m in (-1, 0, 1, 2, 3, 5, 7)] == \
@@ -165,6 +197,21 @@ def test_poly_repr_is_weight_sorted():
     x0, x1 = SparsePoly.gen(UX, 0), SparsePoly.gen(UX, 1)
     assert repr(-2 * x0.inv() * x1) == "-2*x0^-1*x1"
     assert repr(x1 + x0 ** 2 - 1) == "-1 + x0^2 + x1"
+
+
+def test_poly_repr_of_every_scalar_type():
+    # only int and Fraction coefficients of +-1 are elided; every other
+    # scalar is parenthesized, the cyclotomic constant 1 included
+    one = CycloRational.from_scalar(3, 1)
+    p = SparsePoly(UPS, {(): Sqrt2(1, -2), ((1, 1),): one, ((2, 2),): -1})
+    assert repr(p) == "(1 - 2*sqrt2) + (1)*p1 - p2^2"
+    zeta = CycloRational.root(3)
+    p = SparsePoly(UPS, {(): -1, ((1, 1),): zeta * zeta,
+                         ((2, 1),): Sqrt2(0, F(1, 2)), ((1, 2),): F(-3, 4),
+                         ((1, 1), (2, 1)): F(1)})
+    assert repr(p) == \
+        "-1 + (-1 - 1*t)*p1 - 3/4*p1^2 + (1/2*sqrt2)*p2 + p1*p2"
+    assert repr(SparsePoly.zero(UPS)) == "0"
 
 
 def test_outside_input_is_still_validated():
@@ -681,3 +728,15 @@ def test_series_with_poly_coefficients():
 
 def test_repr_mentions_window():
     assert repr(ts({0: 1, 3: -1}, 3)) == "1 - T^3 + O(T^4)"
+    assert repr(TruncatedSeries.zero(("T",), 3)) == "0 + O(T^4)"
+
+
+def test_repr_of_laurent_and_bivariate_series():
+    x0, x1 = SparsePoly.gen(UX, 0), SparsePoly.gen(UX, 1)
+    f = ts({-2: x0.inv() * x1, -1: -x0, 0: 1, 1: x0 * x0 - x1,
+            3: F(2, 3) * x1}, 3, low=-2)
+    assert repr(f) == ("(x0^-1*x1)*T^-2 + (-x0)*T^-1 + 1 + (x0^2 - x1)*T"
+                       " + (2/3*x1)*T^3 + O(T^4)")
+    g = TruncatedSeries(("X", "Y"), {(0, 0): 1, (1, 0): -1, (1, 1): F(1, 2),
+                                     (0, 2): -1, (2, 1): 3}, 3)
+    assert repr(g) == "1 - X - Y^2 + 1/2*X*Y + 3*X^2*Y + O(deg^4)"

@@ -313,6 +313,41 @@ class TestBinomial:
             gbinom(3, -1)
 
 
+def _random_power_sum_poly(rng, wmax):
+    """A sum of one to three power-sum monomials of weight 0..wmax."""
+    poly = SparsePoly.zero(UPS)
+    for _ in range(rng.randint(1, 3)):
+        powers, left = {}, rng.randint(0, wmax)
+        while left:
+            n = rng.randint(1, left)
+            powers[n] = powers.get(n, 0) + 1
+            left -= n
+        poly = poly + SparsePoly.monomial(
+            UPS, powers, Fraction(rng.choice([-3, -1, 1, 2, 5]),
+                                  rng.randint(1, 4)))
+    return poly
+
+
+def _apply_sd_every_monomial(op, state):
+    """{z: state}: each table monomial applied on its own, the dual factors
+    (d, m) as (1/m) d/dp~_m first, then the multiplications."""
+    out = {}
+    for ez, poly in op.table.items():
+        acc = SparsePoly.zero(UPS)
+        for mono, c in poly.terms.items():
+            term, mult = state * c, {}
+            for (side, m), e in mono:
+                if side == "d":
+                    for _ in range(e):
+                        term = term.differentiate(m) * Fraction(1, m)
+                else:
+                    mult[m] = e
+            acc = acc + term * SparsePoly.monomial(UPS, mult)
+        if acc:
+            out[ez] = acc
+    return out
+
+
 class TestPowerSumOperator:
     def test_table_coefficients_at_zero_deformation(self):
         op = vertex_Y_powersum(1, 0, weight_cap=3)
@@ -355,6 +390,30 @@ class TestPowerSumOperator:
         assert out[-2] == SparsePoly.const(UPS, 1)
         # z^0 entry: multiplication by p~_1
         assert out[0] == p1 * p1
+
+    @given(st.integers(1, 5), st.sampled_from([0, Fraction(1, 2),
+                                               Fraction(-2, 3), 2]),
+           st.integers(0, 10 ** 6))
+    def test_apply_matches_every_monomial_of_the_table(self, cap, t, seed):
+        rng = random.Random(seed)
+        b = _random_power_sum_poly(rng, 4)
+        state = _random_power_sum_poly(rng, 5)
+        op = vertex_Y_element(b, t, weight_cap=cap)
+        out = vertex_apply(op, state)
+        ref = _apply_sd_every_monomial(op, state)
+        assert out == ref
+        assert {e: repr(p) for e, p in out.items()} == \
+            {e: repr(p) for e, p in ref.items()}
+
+    def test_apply_matches_every_monomial_on_dual_squares(self):
+        # squared generators put squared dual modes into the table, and
+        # (1/m d/dp~_m)^2 must divide by m twice
+        p1, p2 = SparsePoly.gen(UPS, 1), SparsePoly.gen(UPS, 2)
+        state = p2 ** 3 + p1 ** 2 * p2 - 3 * p1 ** 3
+        for t in (0, Fraction(1, 2)):
+            op = vertex_Y_element(p1 ** 2 + p2 ** 2, t, weight_cap=6)
+            assert vertex_apply(op, state) == \
+                _apply_sd_every_monomial(op, state)
 
 
 class TestHallPairing:
