@@ -40,9 +40,9 @@ from pathlib import Path
 
 import click
 
-from .analytic import epsilon_rows, ml_asymptotic, ml_exp, write_epsilon_csv
+from .analytic import ml_asymptotic, ml_exp, write_epsilon_csv
 from .errors import DomainError, IncompatibleOperands, TruncationError
-from .grouplaw import GroupLaw, genus_exponential, projective_image, to_q_over_q1
+from .grouplaw import GroupLaw, projective_image, to_q_over_q1
 from .qfunctions import QElement, classical_q, inner_x, is_strict, x_in_q
 from .rings import SparsePoly, UPS, UX, dfact_odd
 from .series import TruncatedSeries
@@ -65,6 +65,7 @@ _MAX_FOCK_WEIGHT = 10    # virasoro-check monomial weight
 _MAX_MODE = 6            # virasoro mode indices
 _MAX_VOA_CAP = 12        # vertex-operator weight caps
 _MAX_VOA_WINDOW = 64     # voa y-check z-exponent window
+_MAX_VOA_MONOMIALS = 800  # voa y-check monomials mapped to operators
 _MAX_ROOT_ORDER = 64     # voa closure root-of-unity order
 _MAX_CPN = 12            # kw --cpn degree; memory grows ~5x per two degrees
 _MAX_POINTS = 10_000     # epsilon-table rows
@@ -937,6 +938,10 @@ def voa_y_check(obj, b_str, bp_str, window, weight_cap, t_str):
     bp = parse_p_expr(bp_str, "--bprime")
     t = _parse_scalar(t_str, "--t")
     _require(isinstance(t, Fraction), "--t must be an exact rational")
+    n = _mapped_monomials(b, bp, weight_cap)
+    _require(n <= _MAX_VOA_MONOMIALS,
+             f"--b, --bprime and their product have {n} monomials of degree "
+             f"<= --weight-cap; the ceiling is {_MAX_VOA_MONOMIALS}")
     w = Y_multiplicativity_check(b, bp, weight_cap=weight_cap,
                                  window=(-window, window), t=t)
     pretty = [f"status: {w.status}", f"modes compared: {w.compared}"]
@@ -951,6 +956,18 @@ def voa_y_check(obj, b_str, bp_str, window, weight_cap, t_str):
                "mismatches": [str(m) for m in w.mismatches[:5]]})
     if not w.ok:
         sys.exit(1)
+
+
+def _mapped_monomials(b: SparsePoly, bp: SparsePoly, cap: int) -> int:
+    """The monomials of degree <= cap in b, b' and b*b', the ones whose
+    operators the check forms (a product of more than cap operators
+    vanishes through the cap).  b*b' is counted without cancellation, on
+    coefficient-1 copies, and formed only if b and b' fit the ceiling."""
+    low = [SparsePoly(UPS, {m: 1 for m in p.terms
+                            if sum(e for _, e in m) <= cap}) for p in (b, bp)]
+    n = len(low[0].terms) + len(low[1].terms)
+    prod = low[0] * low[1] if n <= _MAX_VOA_MONOMIALS else low[0] * 0
+    return n + sum(sum(e for _, e in m) <= cap for m in prod.terms)
 
 
 @voa.command("table")

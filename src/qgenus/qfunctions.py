@@ -24,8 +24,8 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import DomainError, IncompatibleOperands
-from .rings import (SparsePoly, UQ, UX, as_fraction, over_common_denominator,
-                    render_terms, symbol_universe)
+from .rings import (SparsePoly, UX, as_fraction, over_common_denominator,
+                    power, render_terms, ring_map, symbol_universe)
 from .series import TruncatedSeries
 
 Partition = tuple[int, ...]  # strictly decreasing, entries >= 1
@@ -204,10 +204,7 @@ class QElement:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        out = QElement.one()
-        for _ in range(e):
-            out = out * self
-        return out
+        return power(self, e, QElement.one())
 
     def __bool__(self):
         return bool(self.terms)
@@ -235,13 +232,9 @@ class QElement:
 
     def to_x(self) -> SparsePoly:
         """Exact image in the odd coordinates x_k."""
-        out = SparsePoly.zero(UX)
-        for part, c in self.terms.items():
-            term = SparsePoly.const(UX, c)
-            for p in part:
-                term = term * q_in_x(p)
-            out = out + term
-        return out
+        return ring_map(((((p, 1) for p in part), c)
+                         for part, c in self.terms.items()),
+                        lambda p, e: q_in_x(p) ** e, SparsePoly.const(UX, 1))
 
     def __repr__(self):
         return render_terms(("*".join(f"q{p}" for p in part), self.terms[part])
@@ -266,14 +259,6 @@ class QTensor:
                     if not self.terms[k]:
                         del self.terms[k]
 
-    @classmethod
-    def of(cls, left: QElement, right: QElement) -> "QTensor":
-        out = cls()
-        for p1, c1 in left.terms.items():
-            for p2, c2 in right.terms.items():
-                out.terms[(p1, p2)] = c1 * c2
-        return out
-
     def __add__(self, other: "QTensor") -> "QTensor":
         out = QTensor(self.terms)
         for k, c in other.terms.items():
@@ -284,7 +269,9 @@ class QTensor:
                 del out.terms[k]
         return out
 
-    def __mul__(self, other: "QTensor") -> "QTensor":
+    def __mul__(self, other: "QTensor | int | Fraction") -> "QTensor":
+        if isinstance(other, (int, Fraction)):
+            return QTensor({k: other * v for k, v in self.terms.items()})
         a, da = over_common_denominator(self.terms)
         b, db = over_common_denominator(other.terms)
         acc: dict[tuple[Partition, Partition], int] = {}
@@ -302,10 +289,6 @@ class QTensor:
         out.terms = {k: Fraction(v, den) for k, v in acc.items() if v}
         return out
 
-    def scale(self, c) -> "QTensor":
-        c = as_fraction(c)
-        return QTensor({k: c * v for k, v in self.terms.items()})
-
     def __eq__(self, other):
         return isinstance(other, QTensor) and self.terms == other.terms
 
@@ -320,18 +303,14 @@ class QTensor:
 def coproduct(e: QElement) -> QTensor:
     """The coalgebra map determined by q_n -> sum_{j+l=n} q_j (x) q_l,
     extended multiplicatively."""
-    out = QTensor()
-    for part, c in e.terms.items():
-        acc = QTensor.of(QElement.one(), QElement.one())
-        for n in part:
-            gen = QTensor()
-            for j in range(n + 1):
-                left = QElement.one() if j == 0 else QElement.monomial((j,))
-                right = QElement.one() if j == n else QElement.monomial((n - j,))
-                gen = gen + QTensor.of(left, right)
-            acc = acc * gen
-        out = out + acc.scale(c)
-    return out
+    one = QTensor({((), ()): 1})
+
+    def image(n: int, k: int) -> QTensor:
+        return power(QTensor({((j,) if j else (), (n - j,) if j < n else ()): 1
+                              for j in range(n + 1)}), k, one)
+
+    return ring_map(((((n, 1) for n in part), c)
+                     for part, c in e.terms.items()), image, one)
 
 
 def counit(e: QElement) -> Fraction:
@@ -399,15 +378,13 @@ def xpoly_to_q(p: SparsePoly) -> QElement:
     """Exact preimage of a polynomial in the x_k (no negative powers)."""
     if p.universe != UX:
         raise IncompatibleOperands("expected a polynomial in the x-universe")
-    out = QElement.zero()
-    for mono, c in p.terms.items():
-        term = QElement({(): as_fraction(c)})
-        for k, e in mono:
-            if e < 0:
-                raise DomainError("negative x-powers have no polynomial preimage")
-            term = term * (x_in_q(k) ** e)
-        out = out + term
-    return out
+
+    def image(k: int, e: int) -> QElement:
+        if e < 0:
+            raise DomainError("negative x-powers have no polynomial preimage")
+        return x_in_q(k) ** e
+
+    return ring_map(p.terms.items(), image, QElement.one())
 
 
 # ------------------------------------------------------------ inner product

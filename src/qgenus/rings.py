@@ -320,14 +320,7 @@ class CycloRational:
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        out = CycloRational.from_scalar(self.p, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, CycloRational.from_scalar(self.p, 1))
 
     def inv(self) -> "CycloRational":
         if not self:
@@ -525,6 +518,37 @@ def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(out) + m1[i:] + m2[j:]
 
 
+def power(x, e: int, one):
+    """x**e for e >= 0 by square-and-multiply, skipping the unused last
+    squaring; ``one`` when e == 0."""
+    out = None
+    while e:
+        if e & 1:
+            out = x if out is None else out * x
+        e >>= 1
+        if e:
+            x = x * x
+    return one if out is None else out
+
+
+def ring_map(terms: Iterable[tuple[Iterable[tuple[Key, int]], Any]],
+             power: Callable[[Key, int], Any], one):
+    """The multiplicative extension of a map on powers: the sum over the
+    (monomial, c) ``terms`` of (one * c) * prod power(key, e), each
+    (key, e) power formed once per call."""
+    powers: dict[tuple[Key, int], Any] = {}
+    total = one * 0
+    for mono, c in terms:
+        term = one * c
+        for factor in mono:
+            p = powers.get(factor)
+            if p is None:
+                p = powers[factor] = power(*factor)
+            term = term * p
+        total = total + term
+    return total
+
+
 def render_terms(pairs: Iterable[tuple[str, Any]]) -> str:
     """One line for a sum of (monomial text, coefficient) pairs, given in
     display order.  An empty monomial is the constant term; an int or
@@ -703,14 +727,7 @@ class SparsePoly:
             return NotImplemented
         if e < 0:
             return self.inv() ** (-e)
-        out = SparsePoly.const(self.universe, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, SparsePoly.const(self.universe, 1))
 
     # -- structure --------------------------------------------------------
     def __bool__(self):
@@ -799,24 +816,13 @@ class SparsePoly:
                     raise IncompatibleOperands("substitution images disagree")
         if target is None:
             target = self.universe
-        out = SparsePoly.zero(target)
-        cache: dict[tuple[Key, int], SparsePoly] = {}
-        for mono, c in self.terms.items():
-            term = SparsePoly.const(target, c)
-            for key, exp in mono:
-                pk = cache.get((key, exp))
-                if pk is None:
-                    if key in mapping:
-                        val = mapping[key]
-                        if not isinstance(val, SparsePoly):
-                            val = SparsePoly.const(target, val)
-                    else:
-                        val = SparsePoly.gen(target, key)
-                    pk = val ** exp
-                    cache[(key, exp)] = pk
-                term = term * pk
-            out = out + term
-        return out
+        one = SparsePoly.const(target, 1)
+
+        def image(key: Key, e: int) -> SparsePoly:
+            return (one * mapping[key] if key in mapping
+                    else SparsePoly.gen(target, key)) ** e
+
+        return ring_map(self.terms.items(), image, one)
 
     # -- display -----------------------------------------------------------
     def sorted_terms(self) -> list[tuple[Monomial, Any]]:

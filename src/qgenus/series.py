@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cache
 from itertools import chain
 from math import lcm
 from operator import add, mul
@@ -28,7 +27,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from .errors import DomainError, IncompatibleOperands
 from .rings import (MonomialPacking, SparsePoly, Universe, coeff_inv,
-                    over_common_denominator, render_terms)
+                    over_common_denominator, power, render_terms, ring_map)
 
 ExpVec = tuple[int, ...]
 _RATIONAL = {int, Fraction}
@@ -174,7 +173,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.vars, {k: c * v for k, v in self.coeffs.items()},
                                self.order, self.low)
 
-    def __mul__(self, other):
+    def __mul__(self, other, order: int | None = None):
         """Series product: one accumulation loop over packed ``int`` keys.
 
         If each operand's coefficients are all rational, or all SparsePoly
@@ -182,12 +181,15 @@ class TruncatedSeries:
         monomial) pair keyed by the monomial packed above the exponent
         (:class:`~qgenus.rings.MonomialPacking`), else a whole coefficient.
         Rational values are integers over a common denominator, at one
-        ``Fraction`` per output term (``int`` when integral)."""
+        ``Fraction`` per output term (``int`` when integral).  ``order``
+        below the honest window cuts the product there: no pair of terms
+        beyond it is formed."""
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         o = self._align(other)
         va, vb = self.valuation(), o.valuation()
-        order = min(self.order + vb, o.order + va)
+        honest = min(self.order + vb, o.order + va)
+        order = honest if order is None else min(order, honest)
         out = TruncatedSeries.zero(self.vars, order, min(self.low + o.low, 0))
         if not (self.coeffs and o.coeffs):
             return out
@@ -241,14 +243,7 @@ class TruncatedSeries:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        out, base = None, self
-        while e:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return TruncatedSeries.one(self.vars, self.order) if out is None else out
+        return power(self, e, TruncatedSeries.one(self.vars, self.order))
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -343,18 +338,14 @@ class TruncatedSeries:
             if im.valuation() < 1:
                 raise DomainError("substitute: images need valuation >= 1")
             order = min(order, im.order)
-        @cache
-        def power(name: str, e: int) -> TruncatedSeries:
+
+        def image(name: str, e: int) -> TruncatedSeries:
             got = images[name] ** e
             return got.truncate(order) if got.order > order else got
 
-        out = TruncatedSeries.zero(tvars, order)
-        for key, c in self.coeffs.items():
-            term = TruncatedSeries.constant(tvars, c, order)
-            for name, e in zip(self.vars, key):
-                if e:
-                    term = term * power(name, e)
-            out = out + term
+        terms = ((((name, e) for name, e in zip(self.vars, key) if e), c)
+                 for key, c in self.coeffs.items())
+        out = ring_map(terms, image, TruncatedSeries.one(tvars, order))
         if out.order > order:
             out = out.truncate(order)
         return out

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import DomainError, IncompatibleOperands, InvariantError
 from .rings import (
@@ -41,6 +41,8 @@ from .rings import (
     Universe,
     UPS,
     coeff_is_integral,
+    power,
+    ring_map,
     row_reduce,
     symbol_universe,
 )
@@ -71,7 +73,6 @@ __all__ = [
     "VertexOperator",
     "vertex_Y_powersum",
     "vertex_Y_element",
-    "op_product",
     "vertex_apply",
     "hall_inner",
     "matrix_element",
@@ -418,12 +419,18 @@ def hl_q_gen(t, order: int) -> WittVector:
 # the tensor-square universe and generalized binomials
 # ---------------------------------------------------------------------------
 
+#: The one key for the Laurent variable z: invertible, of weight 0.
+Z = ("z", 0)
+
+
 def _sd_fmt(key) -> str:
     side, m = key
-    return f"p{m}" if side == "s" else f"pd{m}"
+    return "z" if key == Z else f"p{m}" if side == "s" else f"pd{m}"
 
 
 def _sd_weight(key) -> int:
+    if key == Z:
+        return 0
     side, m = key
     if side not in ("s", "d") or not isinstance(m, int) or m < 1:
         raise DomainError(f"bad tensor-square key {key!r}")
@@ -433,8 +440,9 @@ def _sd_weight(key) -> int:
 #: Tensor square of the symmetric-function ring: keys ("s", m) multiply by
 #: the reduced power sum p~_m, keys ("d", m) are the Hall-dual copies
 #: (acting as (1/m) d/dp~_m).  Both carry weight m > 0, so weight caps are
-#: honest truncations.
-SD = Universe(name="sd", fmt=_sd_fmt, weight=_sd_weight)
+#: honest truncations.  ``Z`` extends it by the Laurent variable z.
+SD = Universe(name="sd", fmt=_sd_fmt, weight=_sd_weight,
+              is_invertible=lambda k: k == Z)
 
 
 def gbinom(m: int, n: int) -> int:
@@ -477,28 +485,49 @@ def _unit_ratio(t, n: int) -> Callable[[int], Any]:
 
 @dataclass(frozen=True)
 class VertexOperator:
-    """Laurent table of an operator: z-exponent -> element of S (x) S-dual.
+    """An operator as one series in the tensor weight g: the g^w
+    coefficient is the weight-w part of sum_e table[e] z^e, a SparsePoly
+    over ``SD`` (the constant 1 included) with z as the key ``Z``.
 
-    Every stored coefficient is complete through ``weight_cap``: monomials
-    of weight <= weight_cap are exactly right, heavier ones are dropped.
-    Weights are additive and strictly positive on generators, so the cap
-    is a genuine filtration truncation.
+    The series order is the weight cap: monomials of weight <= weight_cap
+    are exactly right, heavier ones are dropped.  Weights are additive and
+    strictly positive on modes, so the cap is a genuine filtration
+    truncation.
     """
 
-    table: Mapping[int, SparsePoly]
-    weight_cap: int
+    series: TruncatedSeries
     label: str = ""
+
+    @property
+    def weight_cap(self) -> int:
+        return self.series.order
+
+    @property
+    def table(self) -> dict[int, SparsePoly]:
+        """Laurent table, z-exponent -> element of S (x) S-dual: the series
+        regrouped by the exponent of z, which no entry shows."""
+        out: dict[int, dict] = {}
+        for poly in self.series.coeffs.values():
+            for mono, c in poly.terms.items():
+                e = mono[-1][1] if mono and mono[-1][0] == Z else 0
+                out.setdefault(e, {})[mono[:-1] if e else mono] = c
+        return {e: SparsePoly._canonical(SD, terms)
+                for e, terms in sorted(out.items())}
 
     def entry(self, e: int) -> SparsePoly:
         return self.table.get(e, SparsePoly.zero(SD))
 
+    def __add__(self, other: "VertexOperator") -> "VertexOperator":
+        return VertexOperator(self.series + other.series)
 
-def _clean_table(table: Mapping[int, SparsePoly]) -> dict[int, SparsePoly]:
-    return {e: p for e, p in sorted(table.items()) if p}
-
-
-def identity_operator(weight_cap: int) -> VertexOperator:
-    return VertexOperator({0: SparsePoly.const(SD, 1)}, weight_cap, "1")
+    def __mul__(self, other) -> "VertexOperator":
+        """Product in (S (x) S-dual)[z, z^{-1}] through the smaller cap (no
+        pair of terms beyond it is formed), or a scalar multiple."""
+        if not isinstance(other, VertexOperator):
+            return VertexOperator(self.series * other)
+        cap = min(self.weight_cap, other.weight_cap)
+        return VertexOperator(self.series.__mul__(other.series, cap),
+                              f"{self.label or '?'}*{other.label or '?'}")
 
 
 def vertex_Y_powersum(n: int, t=0, *, weight_cap: int) -> VertexOperator:
@@ -511,41 +540,14 @@ def vertex_Y_powersum(n: int, t=0, *, weight_cap: int) -> VertexOperator:
     if n < 1:
         raise DomainError(f"power-sum index must be >= 1, got {n}")
     ratio = _unit_ratio(t, n)
-    table: dict[int, SparsePoly] = {}
+    modes = {}
     for m in range(1, weight_cap + 1):
         r = ratio(m)
-        if not r:
-            continue
-        c_pos = r * gbinom(m, n)
-        if c_pos:
-            table.setdefault(m - n, SparsePoly.zero(SD))
-            table[m - n] = table[m - n] + SparsePoly.monomial(
-                SD, {("s", m): 1}, c_pos)
-        c_neg = r * gbinom(-m, n) * ((-1) ** m)
-        if c_neg:
-            table.setdefault(-m - n, SparsePoly.zero(SD))
-            table[-m - n] = table[-m - n] + SparsePoly.monomial(
-                SD, {("d", m): 1}, c_neg)
-    return VertexOperator(_clean_table(table), weight_cap, f"Y(p{n})")
-
-
-def op_product(a: VertexOperator, b: VertexOperator) -> VertexOperator:
-    """Product in the commutative ring (S (x) S-dual)[[z, z^{-1}]].
-
-    z-coefficients convolve; each product coefficient is again complete
-    through the smaller weight cap because weights add and are positive.
-    """
-    cap = min(a.weight_cap, b.weight_cap)
-    table: dict[int, SparsePoly] = {}
-    for ea, pa in a.table.items():
-        for eb, pb in b.table.items():
-            prod = (pa * pb).weight_truncate(cap)
-            if not prod:
-                continue
-            e = ea + eb
-            table[e] = table.get(e, SparsePoly.zero(SD)) + prod
-    return VertexOperator(_clean_table(table), cap,
-                          f"{a.label or '?'}*{b.label or '?'}")
+        modes[m] = SparsePoly(SD, {
+            ((("s", m), 1), (Z, m - n)): r * gbinom(m, n),
+            ((("d", m), 1), (Z, -m - n)): r * gbinom(-m, n) * (-1) ** m})
+    return VertexOperator(TruncatedSeries.univariate("g", modes, weight_cap),
+                          f"Y(p{n})")
 
 
 def vertex_Y_element(b: SparsePoly, t=0, *, weight_cap: int) -> VertexOperator:
@@ -558,23 +560,14 @@ def vertex_Y_element(b: SparsePoly, t=0, *, weight_cap: int) -> VertexOperator:
     if b.universe != UPS:
         raise IncompatibleOperands(
             "vertex elements are polynomials in the power-sum universe")
-    total: dict[int, SparsePoly] = {}
-    cache: dict[int, VertexOperator] = {}
-    for mono, c in sorted(b.terms.items()):
-        op = identity_operator(weight_cap)
-        for k, e in mono:
-            if e < 0:
-                raise DomainError("negative power-sum exponents not allowed")
-            base = cache.get(k)
-            if base is None:
-                base = cache[k] = vertex_Y_powersum(k, t, weight_cap=weight_cap)
-            for _ in range(e):
-                op = op_product(op, base)
-        for ez, poly in op.table.items():
-            scaled = poly * c
-            if scaled:
-                total[ez] = total.get(ez, SparsePoly.zero(SD)) + scaled
-    return VertexOperator(_clean_table(total), weight_cap, f"Y({b!r})")
+    one = VertexOperator(TruncatedSeries.univariate(
+        "g", {0: SparsePoly.const(SD, 1)}, weight_cap), "1")
+    # higher power sums first: their operators lack the s-modes below the
+    # index, so the partial products stay smaller
+    op = ring_map(((reversed(m), c) for m, c in b.terms.items()),
+                  lambda k, e: power(vertex_Y_powersum(
+                      k, t, weight_cap=weight_cap), e, one), one)
+    return VertexOperator(op.series, f"Y({b!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +742,7 @@ def gamma_log_check(n: int, *, weight_cap: int) -> GammaLogWitness:
     complete-homogeneous expansions and extracts [w^n] log Gamma.  The two
     tables must agree entry by entry through the weight cap.
     """
-    direct = vertex_Y_powersum(n, 0, weight_cap=weight_cap)
+    direct = vertex_Y_powersum(n, 0, weight_cap=weight_cap).table
     gamma = _gamma_table(weight_cap, n)
     logg = _bitable_log(gamma, n, weight_cap)
     from_gamma: dict[int, SparsePoly] = {}
@@ -757,9 +750,9 @@ def gamma_log_check(n: int, *, weight_cap: int) -> GammaLogWitness:
         if wexp == n and p:
             from_gamma[zexp] = p
     mism = []
-    for e in sorted(set(direct.table) | set(from_gamma)):
-        lhs = direct.entry(e)
-        rhs = from_gamma.get(e, SparsePoly.zero(SD))
+    zero = SparsePoly.zero(SD)
+    for e in sorted(set(direct) | set(from_gamma)):
+        lhs, rhs = direct.get(e, zero), from_gamma.get(e, zero)
         if lhs != rhs:
             mism.append((e, lhs, rhs))
     return GammaLogWitness(n, not mism, tuple(mism))
@@ -795,13 +788,14 @@ def Y_multiplicativity_check(b: SparsePoly, bprime: SparsePoly, *,
     lo, hi = window
     if lo > hi:
         raise DomainError("empty z-window")
-    lhs = op_product(vertex_Y_element(b, t, weight_cap=weight_cap),
-                     vertex_Y_element(bprime, t, weight_cap=weight_cap))
-    rhs = vertex_Y_element(b * bprime, t, weight_cap=weight_cap)
+    lhs = (vertex_Y_element(b, t, weight_cap=weight_cap)
+           * vertex_Y_element(bprime, t, weight_cap=weight_cap)).table
+    rhs = vertex_Y_element(b * bprime, t, weight_cap=weight_cap).table
     mism = []
     content = 0
+    zero = SparsePoly.zero(SD)
     for e in range(lo, hi + 1):
-        le, re = lhs.entry(e), rhs.entry(e)
+        le, re = lhs.get(e, zero), rhs.get(e, zero)
         if le or re:
             content += 1
         if le != re:

@@ -589,10 +589,17 @@ class TestExitCodes:
         (("qfunction", "8,7,6,5,3"), "partition weight 29 is beyond the "
                                      "ceiling 28"),
         (("voa", "y-check", "--b", "(p1+p2+p3+p4+p5+p6)^24", "--bprime",
-          "p1"), "weight 144 is beyond the expression ceiling 28")],
+          "p1"), "weight 144 is beyond the expression ceiling 28"),
+        (("voa", "y-check", "--b", "h11", "--bprime", "h12",
+          "--weight-cap", "12"), "have 1076 monomials of degree <= "
+                                 "--weight-cap; the ceiling is 800"),
+        (("voa", "y-check", "--b", "h12*h12*h4", "--bprime", "0",
+          "--weight-cap", "12"), "have 1882 monomials of degree <= "
+                                 "--weight-cap; the ceiling is 800")],
         ids=["intersection-weight", "y-check-window", "closure-order",
              "qreduce-weight", "inner-weight", "qfunction-weight",
-             "y-check-weight"])
+             "y-check-weight", "y-check-monomials",
+             "y-check-monomials-alone"])
     def test_each_command_names_its_own_cap(self, argv, msg):
         r = run(*argv)
         assert r.exit_code == 2 and msg in r.stderr
@@ -689,6 +696,13 @@ _QREDUCE_CAP = ("qreduce", _DENSE_28)
 _QFUNCTION_CAP = ("qfunction", "7,6,5,4,3,2,1")
 _INNER_CAP = ("inner", _DENSE_28, _DENSE_28)
 _FOCK_CAP = ("virasoro-check", "--m", "6", "--n", "-6", "--max-weight", "10")
+# voa y-check near its monomial ceiling of 800 (h11 with itself maps 775
+# monomials), and the input that ran 18-26 s before the series-backed
+# operators
+_Y_CHECK_CAP = ("voa", "y-check", "--b", "h11", "--bprime", "h11",
+                "--weight-cap", "12", "--window", "64")
+_Y_CHECK_SIX = ("voa", "y-check", "--b", "(p1+p2+p3+p4+p5+p6)^4",
+                "--bprime", "p1", "--weight-cap", "12")
 
 # (argv, budget in seconds, sha256 of stdout or None, peak-RSS ceiling in
 # MB, exit code).  The lattice digests were taken before the
@@ -701,7 +715,9 @@ _FOCK_CAP = ("virasoro-check", "--m", "6", "--n", "-6", "--max-weight", "10")
 # (integrality), 20 MB (law) and 20 MB (voa table, witt).  The
 # weight-ceiling, qcheck, virasoro-check and kw --modp digests were taken
 # before the shared term renderer; there the qreduce and inner rungs took
-# 5 s and 9-10 s at 29 MB, the rest at most 2 s and 23 MB.
+# 5 s and 9-10 s at 29 MB, the rest at most 2 s and 23 MB.  The y-check
+# digests were taken before the operators became series; there the h11
+# rung took 377 s and the six-sum rung 26 s, at 22-24 MB.
 CAP_LADDER = [
     pytest.param(
         _LATTICE_CAP, 20,
@@ -815,6 +831,22 @@ CAP_LADDER = [
         ("-f", "json") + _INNER_CAP, 10,
         "e1293d56db67b2c382878ad3a9204207cc27377d4702ee73a18c31d9a0acadaf",
         48, 0, id="inner-28-json"),
+    pytest.param(
+        _Y_CHECK_CAP, 10,
+        "639304e2f2efe34c3dd7d64b8209fa56e171af72aba2310e58d446b5d7b389d4",
+        48, 0, id="y-check-ceiling"),
+    pytest.param(
+        ("-f", "json") + _Y_CHECK_CAP, 10,
+        "6350976bd967db3efc463cad9a26030b7824a69069b76189bd1bb5569fcd05a0",
+        48, 0, id="y-check-ceiling-json"),
+    pytest.param(
+        _Y_CHECK_SIX, 10,
+        "88933d8513fe8033211044bb300695d168607aaf8b3f5113610e556485028040",
+        48, 0, id="y-check-six-sum"),
+    pytest.param(
+        ("-f", "json") + _Y_CHECK_SIX, 10,
+        "8cb66dc4de7be72bb6f4559cf2577b6a650787af2dca242af7c0ed3ac8393890",
+        48, 0, id="y-check-six-sum-json"),
 ]
 
 

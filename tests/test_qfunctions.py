@@ -167,6 +167,39 @@ def test_coproduct_on_generators():
     assert counit(QElement.one()) == 1
 
 
+def _coproduct_per_term(e: QElement) -> QTensor:
+    """Each basis term as a product of generator images, scaled last."""
+    def of(left: QElement, right: QElement) -> QTensor:
+        return QTensor({(p1, p2): c1 * c2 for p1, c1 in left.terms.items()
+                        for p2, c2 in right.terms.items()})
+
+    out = QTensor()
+    for part, c in e.terms.items():
+        acc = of(QElement.one(), QElement.one())
+        for n in part:
+            gen = QTensor()
+            for j in range(n + 1):
+                left = QElement.one() if j == 0 else QElement.monomial((j,))
+                right = QElement.one() if j == n else QElement.monomial((n - j,))
+                gen = gen + of(left, right)
+            acc = acc * gen
+        out = out + QTensor({k: c * v for k, v in acc.terms.items()})
+    return out
+
+
+@given(elements)
+def test_coproduct_matches_the_per_term_loop(x):
+    d = coproduct(x)
+    assert d == _coproduct_per_term(x)
+    assert repr(d) == repr(_coproduct_per_term(x))
+
+
+def test_tensor_scalar_multiple():
+    t = QTensor({((2,), (1,)): F(3, 4), ((), ()): 2})
+    assert t * F(2, 3) == QTensor({((2,), (1,)): F(1, 2), ((), ()): F(4, 3)})
+    assert (t * 0).terms == {}
+
+
 @given(st.lists(st.integers(1, 5), min_size=0, max_size=2),
        st.lists(st.integers(1, 5), min_size=0, max_size=2))
 def test_coproduct_is_an_algebra_map(p1, p2):

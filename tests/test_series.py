@@ -14,7 +14,8 @@ from qgenus.grouplaw import (GroupLaw, genus_exponential, scalar_exponential,
 from qgenus.qfunctions import QElement
 from qgenus.rings import (CycloRational, SparsePoly, Sqrt2, UPS, UQ, UT, UX,
                           coeff_inv, dfact_odd, double_factorial,
-                          indexed_universe, row_reduce, symbol_universe)
+                          indexed_universe, power, ring_map, row_reduce,
+                          symbol_universe)
 from qgenus.series import TruncatedSeries, lagrange_reversion_coefficient
 from qgenus.witt import SD, hl_q_gen, lattice_universe
 
@@ -63,6 +64,44 @@ def test_row_reduce_singular_and_swapped():
     assert row_reduce([[0, 0], [0, 0]])[0] == 0
     det, m = row_reduce([[2, 1, 3], [1, 3, 5]])
     assert det == 5 and m == [[1, 0, F(4, 5)], [0, 1, F(7, 5)]]
+
+
+class _Counted(int):
+    """An int that counts the products it takes part in."""
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(int(self) * int(other))
+
+
+@pytest.mark.parametrize("e", range(0, 18))
+def test_power_multiplies_without_the_last_squaring(e):
+    _Counted.products = 0
+    assert power(_Counted(3), e, "one") == (3 ** e if e else "one")
+    # one product per bit below the top (a squaring) and per set bit
+    # beyond the first (a multiply)
+    expect = e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0
+    assert _Counted.products == expect
+    for x in (SparsePoly.gen(UPS, 2) - 3, CycloRational.root(5),
+              ts({0: 1, 1: F(1, 2)}, 5), QElement.gen(2) + 1):
+        if e <= 5:
+            assert x ** e == math.prod([x] * e, start=x ** 0)
+
+
+def test_ring_map_forms_each_power_once():
+    calls = []
+
+    def image(key, e):
+        calls.append((key, e))
+        return SparsePoly.gen(UPS, key) ** e + 1
+
+    p = SparsePoly(UPS, {((1, 2),): 3, ((1, 2), (2, 1)): F(1, 2), (): 5})
+    out = ring_map(p.terms.items(), image, SparsePoly.const(UPS, 1))
+    p1, p2 = SparsePoly.gen(UPS, 1), SparsePoly.gen(UPS, 2)
+    assert out == 3 * (p1 ** 2 + 1) + F(1, 2) * (p1 ** 2 + 1) * (p2 + 1) + 5
+    assert sorted(calls) == [(1, 2), (2, 1)]
+    assert ring_map((), image, SparsePoly.const(UPS, 1)) == 0
 
 
 def test_double_factorials():

@@ -42,7 +42,6 @@ from qgenus.witt import (
     lattice_universe,
     matrix_element,
     nondegeneracy_witness,
-    op_product,
     pairing,
     power_sums,
     q_subfunctor_check,
@@ -414,6 +413,112 @@ class TestPowerSumOperator:
             op = vertex_Y_element(p1 ** 2 + p2 ** 2, t, weight_cap=6)
             assert vertex_apply(op, state) == \
                 _apply_sd_every_monomial(op, state)
+
+
+def _old_powersum_table(n, t, cap):
+    """The z-table of Y(p~_n) as the dict-of-polynomials code built it."""
+    if isinstance(t, CycloRational):
+        inv_den = (1 - t ** n).inv()
+        ratio = lambda m: (1 - t ** m) * inv_den
+    else:
+        ratio = lambda m: (1 - Fraction(t) ** m) / (1 - Fraction(t) ** n)
+    table = {}
+    for m in range(1, cap + 1):
+        r = ratio(m)
+        for e, key, c in ((m - n, ("s", m), r * witt.gbinom(m, n)),
+                          (-m - n, ("d", m), r * witt.gbinom(-m, n) * (-1) ** m)):
+            if c:
+                table[e] = table.get(e, SparsePoly.zero(SD)) + \
+                    SparsePoly.monomial(SD, {key: 1}, c)
+    return {e: p for e, p in sorted(table.items()) if p}
+
+
+def _old_op_product(a, b, cap):
+    """The z-convolution of two tables, each product truncated at the cap."""
+    table = {}
+    for ea, pa in a.items():
+        for eb, pb in b.items():
+            prod = (pa * pb).weight_truncate(cap)
+            if prod:
+                table[ea + eb] = table.get(ea + eb, SparsePoly.zero(SD)) + prod
+    return {e: p for e, p in sorted(table.items()) if p}
+
+
+def _old_vertex_Y_element(b, t, cap):
+    """Each monomial as an e-fold product of generator tables, summed."""
+    total = {}
+    for mono, c in sorted(b.terms.items()):
+        op = {0: SparsePoly.const(SD, 1)}
+        for k, e in mono:
+            for _ in range(e):
+                op = _old_op_product(op, _old_powersum_table(k, t, cap), cap)
+        for ez, poly in op.items():
+            if poly * c:
+                total[ez] = total.get(ez, SparsePoly.zero(SD)) + poly * c
+    return {e: p for e, p in sorted(total.items()) if p}
+
+
+def _reprs(table):
+    return {e: repr(p) for e, p in table.items()}
+
+
+_DEFORMATIONS = [0, Fraction(1, 2), CycloRational.root(5)]
+
+
+class TestSeriesOperators:
+    @given(st.integers(1, 6), st.sampled_from(_DEFORMATIONS),
+           st.integers(0, 10 ** 6))
+    def test_element_tables_match_the_dict_tables(self, cap, t, seed):
+        rng = random.Random(seed)
+        b = _random_power_sum_poly(rng, 4)
+        op = vertex_Y_element(b, t, weight_cap=cap)
+        old = _old_vertex_Y_element(b, t, cap)
+        assert op.table == old
+        assert _reprs(op.table) == _reprs(old)
+        assert op.label == f"Y({b!r})" and op.weight_cap == cap
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from(_DEFORMATIONS),
+           st.integers(0, 10 ** 6))
+    def test_products_match_the_convolution(self, cap_a, cap_b, t, seed):
+        rng = random.Random(seed)
+        a = vertex_Y_element(_random_power_sum_poly(rng, 3), t,
+                             weight_cap=cap_a)
+        b = vertex_Y_powersum(rng.randint(1, 4), t, weight_cap=cap_b)
+        prod, cap = a * b, min(cap_a, cap_b)
+        old = _old_op_product(a.table, b.table, cap)
+        assert prod.table == old
+        assert _reprs(prod.table) == _reprs(old)
+        assert prod.label == f"{a.label}*{b.label}"
+        assert prod.weight_cap == cap
+        assert (prod * 3).table == {e: 3 * p for e, p in old.items()}
+        assert (prod + a).table == _old_sum(old, {
+            e: p.weight_truncate(cap) for e, p in a.table.items()})
+
+    @given(st.integers(1, 6), st.sampled_from(_DEFORMATIONS),
+           st.integers(0, 10 ** 6))
+    def test_no_table_shows_the_z_key(self, cap, t, seed):
+        b = _random_power_sum_poly(random.Random(seed), 4)
+        op = vertex_Y_element(b, t, weight_cap=cap)
+        assert all(key[0] in ("s", "d") and key[1] >= 1
+                   for poly in op.table.values() for key in poly.gens())
+        assert all(isinstance(c, SparsePoly) and c.universe == SD
+                   for c in op.series.coeffs.values())
+
+    def test_sd_refuses_low_modes_and_foreign_z_keys(self):
+        z = SparsePoly.gen(SD, witt.Z, -3)   # the one z key, inverted
+        assert repr(z * SparsePoly.gen(SD, ("s", 2))) == "p2*z^-3"
+        for key in (("s", 0), ("d", -1), ("z", 1), ("t", 0)):
+            with pytest.raises(DomainError):
+                SparsePoly.gen(SD, key)
+        with pytest.raises(DomainError):
+            SparsePoly.gen(SD, ("s", 1), -1)
+
+
+def _old_sum(a, b):
+    out = dict(a)
+    for e, p in b.items():
+        out[e] = out[e] + p if e in out else p
+    return {e: p for e, p in sorted(out.items()) if p}
 
 
 class TestHallPairing:
