@@ -201,7 +201,7 @@ class TruncatedSeries:
         ka, da, ca, den_a = _flat_terms(self, width, sbits, pk, False)
         kb, db, cb, den_b = _flat_terms(o, width, sbits, pk, True)
         if uni and pk.width != fw:
-            return self * o  # packed again in the wider fields
+            return self.__mul__(o, order)  # packed again in the wider fields
         last, part, acc = None, (), {}
         get = acc.get
         for k1, d1, c1 in zip(ka, da, ca):

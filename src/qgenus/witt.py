@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
@@ -514,9 +515,6 @@ class VertexOperator:
         return {e: SparsePoly._canonical(SD, terms)
                 for e, terms in sorted(out.items())}
 
-    def entry(self, e: int) -> SparsePoly:
-        return self.table.get(e, SparsePoly.zero(SD))
-
     def __add__(self, other: "VertexOperator") -> "VertexOperator":
         return VertexOperator(self.series + other.series)
 
@@ -564,9 +562,9 @@ def vertex_Y_element(b: SparsePoly, t=0, *, weight_cap: int) -> VertexOperator:
         "g", {0: SparsePoly.const(SD, 1)}, weight_cap), "1")
     # higher power sums first: their operators lack the s-modes below the
     # index, so the partial products stay smaller
+    gen = cache(lambda k: vertex_Y_powersum(k, t, weight_cap=weight_cap))
     op = ring_map(((reversed(m), c) for m, c in b.terms.items()),
-                  lambda k, e: power(vertex_Y_powersum(
-                      k, t, weight_cap=weight_cap), e, one), one)
+                  lambda k, e: power(gen(k), e, one), one)
     return VertexOperator(op.series, f"Y({b!r})")
 
 

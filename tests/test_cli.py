@@ -703,6 +703,10 @@ _Y_CHECK_CAP = ("voa", "y-check", "--b", "h11", "--bprime", "h11",
                 "--weight-cap", "12", "--window", "64")
 _Y_CHECK_SIX = ("voa", "y-check", "--b", "(p1+p2+p3+p4+p5+p6)^4",
                 "--bprime", "p1", "--weight-cap", "12")
+# a fresh process whose operator product first meets |z| = 16, which
+# widens the packing of SD between the two operands
+_Y_CHECK_WIDEN = ("voa", "y-check", "--b", "p1*p3", "--bprime", "p1",
+                  "--weight-cap", "12")
 
 # (argv, budget in seconds, sha256 of stdout or None, peak-RSS ceiling in
 # MB, exit code).  The lattice digests were taken before the
@@ -847,6 +851,10 @@ CAP_LADDER = [
         ("-f", "json") + _Y_CHECK_SIX, 10,
         "8cb66dc4de7be72bb6f4559cf2577b6a650787af2dca242af7c0ed3ac8393890",
         48, 0, id="y-check-six-sum-json"),
+    pytest.param(
+        _Y_CHECK_WIDEN, 10,
+        "88933d8513fe8033211044bb300695d168607aaf8b3f5113610e556485028040",
+        48, 0, id="y-check-widening"),
 ]
 
 

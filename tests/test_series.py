@@ -493,6 +493,19 @@ def test_packing_widens_at_the_field_boundary():
     assert uni.packing.width > width
 
 
+@pytest.mark.parametrize("cut", [1, 3, 6])
+def test_cut_product_keeps_its_cut_when_the_packing_widens(cut):
+    """A product cut below its honest window whose second operand widens
+    the packing is packed again under the same cut."""
+    uni = indexed_universe("cut", "c", lambda k: k + 1)
+    x = SparsePoly.gen(uni, 1)
+    a, b = ts({1: x, 2: x + 1}, 6), ts({1: x ** 40, 3: x ** 40 - 1}, 8)
+    out = a.__mul__(b, cut)
+    assert uni.packing.width == 8  # x^40 widened the field x^1 had set
+    assert out.order == cut
+    _assert_same(out, (a * b).truncate(cut))
+
+
 NIL = symbol_universe("nil3x", [0, 1, 2, 3], nilpotent_order=3)
 UNSCALED = {
     # rationals and polynomials side by side in one operand

@@ -349,19 +349,19 @@ def _apply_sd_every_monomial(op, state):
 
 class TestPowerSumOperator:
     def test_table_coefficients_at_zero_deformation(self):
-        op = vertex_Y_powersum(1, 0, weight_cap=3)
-        assert op.entry(0) == SparsePoly.monomial(SD, {("s", 1): 1})
+        table = vertex_Y_powersum(1, 0, weight_cap=3).table
+        assert table[0] == SparsePoly.monomial(SD, {("s", 1): 1})
         # spot values straight from the binomial formula
-        assert op.entry(1).coefficient({("s", 2): 1}) == 2
-        assert op.entry(2).coefficient({("s", 3): 1}) == 3
-        assert op.entry(-2).coefficient({("d", 1): 1}) == 1
-        assert op.entry(-3).coefficient({("d", 2): 1}) == -2
-        assert op.entry(-4).coefficient({("d", 3): 1}) == 3
+        assert table[1].coefficient({("s", 2): 1}) == 2
+        assert table[2].coefficient({("s", 3): 1}) == 3
+        assert table[-2].coefficient({("d", 1): 1}) == 1
+        assert table[-3].coefficient({("d", 2): 1}) == -2
+        assert table[-4].coefficient({("d", 3): 1}) == 3
 
     def test_diagonal_term(self):
         for n in (1, 2, 3):
-            op = vertex_Y_powersum(n, 0, weight_cap=4)
-            assert op.entry(0).coefficient({("s", n): 1}) == 1
+            table = vertex_Y_powersum(n, 0, weight_cap=4).table
+            assert table[0].coefficient({("s", n): 1}) == 1
 
     def test_degenerate_deformation_rejected(self):
         with pytest.raises(DomainError):
@@ -371,9 +371,9 @@ class TestPowerSumOperator:
 
     def test_rational_deformation(self):
         t = Fraction(1, 2)
-        op = vertex_Y_powersum(1, t, weight_cap=3)
+        table = vertex_Y_powersum(1, t, weight_cap=3).table
         # ratio (1 - t^m)/(1 - t) at m = 2 is 3/2; times binom(2,1) = 2
-        assert op.entry(1).coefficient({("s", 2): 1}) == 3
+        assert table[1].coefficient({("s", 2): 1}) == 3
 
     def test_matrix_element_read_off(self):
         op = vertex_Y_powersum(1, 0, weight_cap=5)
