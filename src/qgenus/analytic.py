@@ -230,6 +230,19 @@ def _check_sector(zc: complex, half_width: float) -> None:
             f"axis (|arg z| must be >= {half_width + 0.1:.3f} rad)")
 
 
+def _out_of_range(n_terms: int) -> DomainError:
+    return DomainError(f"a forced tail of {n_terms} terms leaves the double "
+                       "range (optimal truncation forces no term count)")
+
+
+def _check_forced(n_terms: int | None, value: complex, err: float) -> None:
+    """A forced tail's terms grow without bound: past the double range its
+    sum is inf or nan, which no error field covers."""
+    if n_terms is not None and not (cmath.isfinite(value)
+                                    and math.isfinite(err)):
+        raise _out_of_range(n_terms)
+
+
 def _tail_estimate(first_mag: float, step, n_first: int) -> float:
     """Bound the omitted remainder of a factorially divergent tail.
 
@@ -287,6 +300,7 @@ def asymptotic_tail(z, n_terms: int | None = None) -> FloatEval:
             break
         term = nxt
     err = _tail_estimate(abs(nxt), lambda k: (2 * k + 1) * rb, n) + _roundoff(acc)
+    _check_forced(n_terms, acc.total, err)
     return FloatEval(_as_real_if(z, acc.total), err, "asymptotic", n)
 
 
@@ -328,7 +342,11 @@ def ml_asymptotic(alpha, z, n_terms: int | None = None) -> FloatEval:
                 term = -power / gamma
             else:
                 # z^-n or Gamma left the double range: go through logs
-                size = math.exp(-n * math.log(abs(zc)) - math.lgamma(float(e)))
+                try:
+                    size = math.exp(-n * math.log(abs(zc))
+                                    - math.lgamma(float(e)))
+                except OverflowError:  # only a forced tail grows this far
+                    raise _out_of_range(n_terms) from None
                 if not size:        # past the double range: nothing left
                     omitted = 0.0
                     break
@@ -347,6 +365,7 @@ def ml_asymptotic(alpha, z, n_terms: int | None = None) -> FloatEval:
         if n > 5000:
             break
     err = omitted + _roundoff(acc)
+    _check_forced(n_terms, acc.total, err)
     return FloatEval(_as_real_if(z, acc.total), err, "asymptotic", kept)
 
 
@@ -416,6 +435,7 @@ def epsilon_num(x, method: str = "auto", n_terms: int | None = None) -> FloatEva
                 break
             term = nxt
         err = _tail_estimate(nxt, lambda k: (2 * k + 1) / xf, n) + _roundoff(acc)
+        _check_forced(n_terms, acc.total, err)
         return FloatEval(acc.total.real, err, "asymptotic", n)
     raise DomainError(f"unknown method {method!r}")
 

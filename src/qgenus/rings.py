@@ -14,6 +14,8 @@ negative exponents are allowed, and an optional nilpotency order.  A
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -518,24 +520,25 @@ def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(out) + m1[i:] + m2[j:]
 
 
-def power(x, e: int, one):
+def power(x, e: int, one, mul: Callable[[Any, Any], Any] = operator.mul):
     """x**e for e >= 0 by square-and-multiply, skipping the unused last
-    squaring; ``one`` when e == 0."""
+    squaring; ``one`` when e == 0.  Every product is ``mul``."""
     out = None
     while e:
         if e & 1:
-            out = x if out is None else out * x
+            out = x if out is None else mul(out, x)
         e >>= 1
         if e:
-            x = x * x
+            x = mul(x, x)
     return one if out is None else out
 
 
 def ring_map(terms: Iterable[tuple[Iterable[tuple[Key, int]], Any]],
-             power: Callable[[Key, int], Any], one):
+             power: Callable[[Key, int], Any], one,
+             mul: Callable[[Any, Any], Any] = operator.mul):
     """The multiplicative extension of a map on powers: the sum over the
     (monomial, c) ``terms`` of (one * c) * prod power(key, e), each
-    (key, e) power formed once per call."""
+    (key, e) power formed once per call and each product by ``mul``."""
     powers: dict[tuple[Key, int], Any] = {}
     total = one * 0
     for mono, c in terms:
@@ -544,7 +547,7 @@ def ring_map(terms: Iterable[tuple[Iterable[tuple[Key, int]], Any]],
             p = powers.get(factor)
             if p is None:
                 p = powers[factor] = power(*factor)
-            term = term * p
+            term = mul(term, p)
         total = total + term
     return total
 
@@ -687,15 +690,24 @@ class SparsePoly:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
+    def __mul__(self, other, wmax: int | None = None):
+        """Product; with ``wmax``, only its terms of weight <= wmax: the
+        partner terms run by weight, and each term of ``self`` stops at the
+        first partner that would pass wmax, so no heavier pair is formed."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         uni = self.universe
         nil = uni.nilpotency if uni.has_nilpotents else None
         terms: dict[Monomial, Any] = {}
+        part = o.terms.items()
+        if wmax is not None:
+            weight = self.monomial_weight
+            part = sorted(part, key=lambda mc: weight(mc[0]))
+            weights = [weight(m) for m, _ in part]
         for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
+            for m2, c2 in (part if wmax is None else
+                           part[:bisect_right(weights, wmax - weight(m1))]):
                 mono = _merge_monomials(m1, m2)
                 if nil is not None and any(
                         (n := nil(k)) is not None and e >= n for k, e in mono):

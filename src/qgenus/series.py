@@ -296,9 +296,9 @@ class TruncatedSeries:
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner) for univariate self, inner with valuation >= 1.
 
-        Horner's rule, started at the result window
-        ``min(self.order, inner.order)``: since inner has valuation >= 1,
-        a term T^n of self above that window lands beyond it.
+        Horner's rule on the result window ``min(self.order, inner.order)``,
+        every product cut there: since inner has valuation >= 1, a term T^n
+        of self above that window lands beyond it.
         """
         if len(self.vars) != 1:
             raise DomainError("compose: outer series must be univariate")
@@ -307,15 +307,12 @@ class TruncatedSeries:
         if inner.valuation() < 1:
             raise DomainError("compose: inner series needs valuation >= 1")
         order = min(self.order, inner.order)
-        g = inner if inner.order == order else inner.truncate(order)
-        acc = TruncatedSeries.zero(g.vars, order)
+        acc = TruncatedSeries.zero(inner.vars, order)
         for n in range(order, -1, -1):
-            acc = acc * g
+            acc = acc.__mul__(inner, order)
             c = self.coeffs.get((n,))
             if c is not None:
-                acc = acc + TruncatedSeries.constant(g.vars, c, order)
-            if acc.order > order:
-                acc = acc.truncate(order)
+                acc = acc + TruncatedSeries.constant(inner.vars, c, order)
         return acc
 
     def substitute(self, images: Mapping[str, "TruncatedSeries"]) -> "TruncatedSeries":
@@ -339,16 +336,14 @@ class TruncatedSeries:
                 raise DomainError("substitute: images need valuation >= 1")
             order = min(order, im.order)
 
-        def image(name: str, e: int) -> TruncatedSeries:
-            got = images[name] ** e
-            return got.truncate(order) if got.order > order else got
+        def cut(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+            return a.__mul__(b, order)
 
+        one = TruncatedSeries.one(tvars, order)
         terms = ((((name, e) for name, e in zip(self.vars, key) if e), c)
                  for key, c in self.coeffs.items())
-        out = ring_map(terms, image, TruncatedSeries.one(tvars, order))
-        if out.order > order:
-            out = out.truncate(order)
-        return out
+        return ring_map(terms, lambda name, e: power(images[name], e, one, cut),
+                        one, cut)
 
     def rename(self, vars: tuple[str, ...]) -> "TruncatedSeries":
         """Reinterpret this series over a different variable tuple.

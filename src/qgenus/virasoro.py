@@ -658,7 +658,7 @@ def tau_series(weight: int, table: IntersectionTable | None = None) -> FockPoly:
     power = SparsePoly.const(UX, 1)
     k = 1
     while True:
-        power = (power * F).weight_truncate(weight)
+        power = power.__mul__(F, weight)
         if not power:
             break
         acc = acc + power * Fraction(1, factorial(k))

@@ -75,8 +75,6 @@ __all__ = [
     "vertex_Y_powersum",
     "vertex_Y_element",
     "vertex_apply",
-    "hall_inner",
-    "matrix_element",
     "GammaLogWitness",
     "gamma_log_check",
     "MultiplicativityWitness",
@@ -569,7 +567,7 @@ def vertex_Y_element(b: SparsePoly, t=0, *, weight_cap: int) -> VertexOperator:
 
 
 # ---------------------------------------------------------------------------
-# action on states and matrix elements
+# action on states
 # ---------------------------------------------------------------------------
 
 def vertex_apply(op: VertexOperator, state: SparsePoly) -> dict[int, SparsePoly]:
@@ -600,37 +598,6 @@ def vertex_apply(op: VertexOperator, state: SparsePoly) -> dict[int, SparsePoly]
     return dict(sorted(out.items()))
 
 
-def hall_inner(a: SparsePoly, b: SparsePoly):
-    """Hall pairing in the reduced power-sum basis.
-
-    <p~_lam, p~_mu> = 0 unless lam = mu, where it is
-    prod_n (mult_n)! / n^{mult_n}.
-    """
-    if a.universe != UPS or b.universe != UPS:
-        raise IncompatibleOperands("Hall pairing lives on power-sum polynomials")
-    total = Fraction(0)
-    for mono, ca in a.terms.items():
-        cb = b.terms.get(mono)
-        if cb is None:
-            continue
-        norm = Fraction(1)
-        for k, e in mono:
-            norm *= Fraction(math.factorial(e), k ** e)
-        total = total + ca * cb * norm
-    return total
-
-
-def matrix_element(op: VertexOperator, dual_target: SparsePoly,
-                   source: SparsePoly) -> dict[int, Any]:
-    """<dual_target, op(z) source> as {z-exponent: scalar}."""
-    out = {}
-    for ez, res in vertex_apply(op, source).items():
-        val = hall_inner(dual_target, res)
-        if val:
-            out[ez] = val
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the generating-function route: Gamma(z, w) and its logarithm
 # ---------------------------------------------------------------------------
@@ -651,7 +618,7 @@ def _bitable_mul(a: Bitable, b: Bitable, w_order: int, cap: int) -> Bitable:
             w = wa + wb
             if w > w_order:
                 continue
-            prod = (pa * pb).weight_truncate(cap)
+            prod = pa.__mul__(pb, cap)
             if not prod:
                 continue
             key = (w, za + zb)
@@ -678,7 +645,7 @@ def _gamma_table(weight_cap: int, w_order: int) -> Bitable:
             cj = hd.coefficient(j) if j else SparsePoly.const(SD, 1)
             if not cj:
                 continue
-            pair = (ci * cj).weight_truncate(weight_cap)
+            pair = ci.__mul__(cj, weight_cap)
             if not pair:
                 continue
             sign = (-1) ** j

@@ -182,6 +182,14 @@ class TestAsymptoticTail:
         z = 8.0 * cmath.exp(1j * (math.pi / 4 + 0.2))
         assert asymptotic_tail(z).terms > 1
 
+    def test_forced_tail_past_the_double_range_is_a_domain_error(self):
+        # at 10i term 722 overflows the doubles; 721 terms still sum
+        got = asymptotic_tail(10j, 721)
+        assert cmath.isfinite(got.value) and math.isfinite(got.error)
+        for n in (722, 5000):
+            with pytest.raises(DomainError, match="double range"):
+                asymptotic_tail(10j, n)
+
 
 class TestGenericAlphaTail:
     def test_alpha_one_tail_vanishes(self):
@@ -224,6 +232,15 @@ class TestGenericAlphaTail:
             ref = complex(mpmath.exp(z * z) * mpmath.erfc(-z))
         assert abs(got.value - ref) <= 1e-13 * abs(ref)
         assert abs(got.value - ref) <= got.error
+
+    def test_forced_tail_past_the_double_range_is_a_domain_error(self):
+        # at 10i the log-space term 1453 overflows the doubles (it raised
+        # OverflowError); 1452 terms still sum, to a value near 7e307
+        got = ml_asymptotic(Fraction(1, 2), 10j, 1452)
+        assert cmath.isfinite(got.value) and math.isfinite(got.error)
+        for n in (1453, 2000, 100_000):
+            with pytest.raises(DomainError, match="double range"):
+                ml_asymptotic(Fraction(1, 2), 10j, n)
 
     def test_third_alpha_beyond_gamma_underflow(self):
         # 1/Gamma(1 - n/3) overflows the doubles before the stopping test
@@ -320,6 +337,13 @@ class TestEpsilon:
         assert abs(got.value - kept) <= 1e-16    # value is the partial sum
         ref = math.sqrt(2.0 / 50.0) * sp.dawsn(math.sqrt(25.0))
         assert abs(got.value - ref) <= got.error
+
+    def test_forced_asymptotic_past_the_double_range(self):
+        # at x = 40 term 369 overflows the doubles (the sum was nan)
+        got = epsilon_num(40.0, "asymptotic", 368)
+        assert math.isfinite(got.value) and math.isfinite(got.error)
+        with pytest.raises(DomainError, match="double range"):
+            epsilon_num(40.0, "asymptotic", 369)
 
     def test_asymptotic_optimal_on_log_grid(self):
         for x in (10.0, 30.0, 100.0, 1e3, 1e4, 1e5, 1e6):

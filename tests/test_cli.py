@@ -418,6 +418,14 @@ class TestMl:
         assert r.exit_code == 1
         assert r.stdout.splitlines()[-1].endswith("within bound: NO")
 
+    @pytest.mark.parametrize("n_terms", ["1453", "2000", "100000"])
+    def test_forced_tail_past_the_double_range_exits_two(self, n_terms):
+        # 1453 is the first tail length at 10i whose terms overflow the
+        # doubles; it exited 3 with an internal OverflowError
+        r = run("ml", "--alpha", "0.5", "--z", "10i", "--compare-asymptotic",
+                "--n-terms", n_terms)
+        assert r.exit_code == 2 and "leaves the double range" in r.stderr
+
     def test_bad_inputs(self):
         assert run("ml", "--alpha", "0.75", "--z", "3+4i").exit_code == 2
         assert run("ml", "--alpha", "x", "--z", "1").exit_code == 2
@@ -708,6 +716,18 @@ _Y_CHECK_SIX = ("voa", "y-check", "--b", "(p1+p2+p3+p4+p5+p6)^4",
 _Y_CHECK_WIDEN = ("voa", "y-check", "--b", "p1*p3", "--bprime", "p1",
                   "--weight-cap", "12")
 
+# the README point, and the longest tail forced there whose terms stay
+# doubles (one term more is a domain error)
+_ML_POINT = ("ml", "--alpha", "0.5", "--z", "10i", "--compare-asymptotic")
+_ML_LONGEST = _ML_POINT + ("--n-terms", "1452")
+_EPSILON_CAP = ("epsilon-table", "--points", "10000")
+# a composite order (the divisibility route) and the largest prime order
+# (the cyclotomic table)
+_CLOSURE_CAP = ("voa", "closure", "--n", "1", "--order", "64",
+                "--weight-cap", "12")
+_CLOSURE_PRIME = ("voa", "closure", "--n", "1", "--order", "61",
+                  "--weight-cap", "12")
+
 # (argv, budget in seconds, sha256 of stdout or None, peak-RSS ceiling in
 # MB, exit code).  The lattice digests were taken before the
 # normal-ordered lattice operator, the intersection digests before the
@@ -721,7 +741,10 @@ _Y_CHECK_WIDEN = ("voa", "y-check", "--b", "p1*p3", "--bprime", "p1",
 # before the shared term renderer; there the qreduce and inner rungs took
 # 5 s and 9-10 s at 29 MB, the rest at most 2 s and 23 MB.  The y-check
 # digests were taken before the operators became series; there the h11
-# rung took 377 s and the six-sum rung 26 s, at 22-24 MB.
+# rung took 377 s and the six-sum rung 26 s, at 22-24 MB.  The ml,
+# epsilon-table and closure digests were taken before the forced-tail
+# range check and the window-cut products, at 0.2-0.5 s and 20 MB
+# (epsilon-table 1.3-1.7 s at 26 MB; it always writes CSV).
 CAP_LADDER = [
     pytest.param(
         _LATTICE_CAP, 20,
@@ -855,18 +878,68 @@ CAP_LADDER = [
         _Y_CHECK_WIDEN, 10,
         "88933d8513fe8033211044bb300695d168607aaf8b3f5113610e556485028040",
         48, 0, id="y-check-widening"),
+    pytest.param(
+        _ML_POINT, 10,
+        "f32e428cfa2969427e75b20d663a22f67919e5d5c8610a5f9c1f3aba8543ea86",
+        48, 0, id="ml-readme"),
+    pytest.param(
+        ("-f", "json") + _ML_POINT, 10,
+        "db0a799061498bcd1292102017666ea4d3baefa051f51c341353401d70ab85f1",
+        48, 0, id="ml-readme-json"),
+    pytest.param(
+        _ML_LONGEST, 10,
+        "92c4478687a83b8f3002481db571f1f0cc4eee35236fa8a6c2cbd8b64fb65ca4",
+        48, 1, id="ml-n-terms-1452"),
+    pytest.param(
+        ("-f", "json") + _ML_LONGEST, 10,
+        "575a3116f66bb2936d3fe924023c5ddcb36bf634d16a004c6d99cff4395b0a38",
+        48, 1, id="ml-n-terms-1452-json"),
+    pytest.param(
+        _EPSILON_CAP, 10,
+        "13b7ad928c1e4eb2bcbb376e8bc397613d71904a1786a7fcbf21a9e5d0dd58e5",
+        48, 0, id="epsilon-table-10000"),
+    pytest.param(
+        ("-f", "json") + _EPSILON_CAP, 10,
+        "13b7ad928c1e4eb2bcbb376e8bc397613d71904a1786a7fcbf21a9e5d0dd58e5",
+        48, 0, id="epsilon-table-10000-json"),
+    pytest.param(
+        _CLOSURE_CAP, 10,
+        "3e849aa34bd398e15bfe36638e379e2c4f868d9633128c531ba3ba060e141436",
+        48, 0, id="closure-64"),
+    pytest.param(
+        ("-f", "json") + _CLOSURE_CAP, 10,
+        "2491d985125775101a130ddece922443cb29c090d067b762fc2c4a8ca8a5b1cf",
+        48, 0, id="closure-64-json"),
+    pytest.param(
+        _CLOSURE_PRIME, 10,
+        "451a78ec45ca21bcd7281cea9c67c063678a7da126731323b957be000142438e",
+        48, 0, id="closure-61"),
+    pytest.param(
+        ("-f", "json") + _CLOSURE_PRIME, 10,
+        "047cd26a1fa22f049ec046bc85e203967f2a8eb3c15031daade27e7552b91888",
+        48, 0, id="closure-61-json"),
 ]
+
+
+def _ladder_env(tmp_path):
+    """The environment of a ladder child: qgenus from this checkout and a
+    cache directory of its own."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, QGENUS_CACHE_DIR=str(tmp_path),
+                PYTHONPATH=str(_SRC) + (os.pathsep + path if path else ""))
+
+
+def _ladder_argv(argv, tmp_path):
+    """argv with each @file argument written under tmp_path."""
+    files = {"@gram": "[[2,1],[1,2]]", "@exp": _LAW_CAP_FILE}
+    for name, text in files.items():
+        (tmp_path / name[1:]).write_text(text)
+    return [str(tmp_path / a[1:]) if a in files else a for a in argv]
 
 
 @pytest.mark.parametrize("argv,budget,digest,rss_mb,exit_code", CAP_LADDER)
 def test_cap_ladder(argv, budget, digest, rss_mb, exit_code, tmp_path):
-    files = {"@gram": "[[2,1],[1,2]]", "@exp": _LAW_CAP_FILE}
-    for name, text in files.items():
-        (tmp_path / name[1:]).write_text(text)
-    argv = [str(tmp_path / a[1:]) if a in files else a for a in argv]
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, QGENUS_CACHE_DIR=str(tmp_path),
-               PYTHONPATH=str(_SRC) + (os.pathsep + path if path else ""))
+    argv, env = _ladder_argv(argv, tmp_path), _ladder_env(tmp_path)
     runs = [argv]
     if "intersection" in argv:
         # cold cache, then warm cache, then no cache: the same bytes
@@ -928,3 +1001,57 @@ def test_readme_examples_run_verbatim(argv, expected, tmp_path):
     r = runner.invoke(cli, argv, env={"QGENUS_CACHE_DIR": str(tmp_path)})
     assert r.exit_code == 0, r.stderr or r.stdout
     assert r.stdout.rstrip("\n") == expected.rstrip("\n")
+
+
+# ---------------------------------------------------------------------------
+# history independence: a command prints the same bytes whatever ran before
+# it in the same process (process-wide state such as a universe's packing
+# must not leak into results)
+# ---------------------------------------------------------------------------
+
+# rungs that take over about a second; every other rung runs again below
+_LONG_RUNGS = {"kw-cpn-12", "inner-28", "inner-28-json", "qreduce-28",
+               "qreduce-28-json", "qfunction-28", "qfunction-28-json",
+               "y-check-ceiling", "y-check-ceiling-json", "y-check-six-sum",
+               "y-check-six-sum-json", "epsilon-table-10000",
+               "epsilon-table-10000-json"}
+
+# runs a JSON list of argv in one process through CliRunner, twice (the
+# second pass in reverse, so that each command follows all the others),
+# and prints [exit code, sha256 of stdout] per invocation
+_SEQUENCE = """
+import hashlib, json, sys
+from click.testing import CliRunner
+from qgenus.cli import cli
+argvs, runner, out = json.load(sys.stdin), CliRunner(), []
+for argv in argvs + argvs[::-1]:
+    r = runner.invoke(cli, argv)
+    out.append([r.exit_code, hashlib.sha256(r.stdout_bytes).hexdigest()])
+json.dump(out, sys.stdout)
+"""
+
+
+def test_stdout_does_not_depend_on_what_ran_before(tmp_path):
+    """Each README example in a fresh child prints the README's bytes, and
+    each short rung's fresh-child digest is checked by the ladder; one
+    child that runs them all, each after all the others, prints the same
+    bytes and exit codes."""
+    env = _ladder_env(tmp_path)
+    fresh = []
+    for argv, expected in _console_examples():
+        code, out, err, _, _ = _run_child(argv, env, 10, tmp_path)
+        assert code == 0, err.decode()
+        assert out.decode().rstrip("\n") == expected.rstrip("\n"), argv
+        fresh.append((argv, code, hashlib.sha256(out).hexdigest()))
+    for rung in CAP_LADDER:
+        argv, _, digest, _, exit_code = rung.values
+        if rung.id not in _LONG_RUNGS:
+            fresh.append((_ladder_argv(argv, tmp_path), exit_code, digest))
+    argvs = [argv for argv, _, _ in fresh]
+    p = subprocess.run([sys.executable, "-c", _SEQUENCE],
+                       input=json.dumps(argvs), capture_output=True,
+                       text=True, env=env, timeout=300)
+    assert p.returncode == 0, p.stderr
+    got = json.loads(p.stdout)
+    want = [[code, digest] for _, code, digest in fresh]
+    assert got == want + want[::-1]

@@ -506,7 +506,144 @@ def test_cut_product_keeps_its_cut_when_the_packing_widens(cut):
     _assert_same(out, (a * b).truncate(cut))
 
 
+# ------------------------------------------------ products cut at a window
+
+@pytest.mark.parametrize("nvars", [1, 3])
+@pytest.mark.parametrize("coeffs", [rational_coeffs, poly_coeffs],
+                         ids=["rational", "poly"])
+@given(data=st.data())
+def test_cut_series_product_is_the_product_truncated(nvars, coeffs, data):
+    """A product cut at any window, Laurent or multivariate, equals the
+    whole product truncated there, down to the order of its terms."""
+    a, b = data.draw(series_pairs(nvars, coeffs))
+    whole = a * b
+    cut = data.draw(st.integers(whole.low - 1, whole.order + 2))
+    got, want = a.__mul__(b, cut), whole.truncate(min(cut, whole.order))
+    _assert_same(got, want)
+    assert list(got.coeffs) == list(want.coeffs)
+
+
+def _assert_same_poly(got: SparsePoly, want: SparsePoly) -> None:
+    assert got == want and repr(got) == repr(want)
+    assert ({m: type(c) for m, c in got.terms.items()}
+            == {m: type(c) for m, c in want.terms.items()})
+
+
 NIL = symbol_universe("nil3x", [0, 1, 2, 3], nilpotent_order=3)
+
+
+@given(x_polys(), x_polys(), st.integers(-6, 52), st.booleans())
+def test_cut_poly_product_is_the_product_truncated(p, q, wmax, nilpotent):
+    """A product cut at weight wmax equals the whole product truncated
+    there: over x0^-1, whose weight is negative, and over a nilpotent
+    symbol universe; a cut below every pair is 0 and one at the heaviest
+    pair is the whole product."""
+    if nilpotent:
+        p, q = (SparsePoly(NIL, {m: c for m, c in r.terms.items()
+                                 if all(e > 0 for _, e in m)})
+                for r in (p, q))
+    whole = p * q
+    _assert_same_poly(p.__mul__(q, wmax), whole.weight_truncate(wmax))
+    weights = [p.monomial_weight(m1) + q.monomial_weight(m2)
+               for m1 in p.terms for m2 in q.terms]
+    if weights:
+        assert not p.__mul__(q, min(weights) - 1)
+        _assert_same_poly(p.__mul__(q, max(weights)), whole)
+
+
+def _substitute_then_truncate(f: TruncatedSeries,
+                              images: dict) -> TruncatedSeries:
+    """``TruncatedSeries.substitute`` before the cut, kept as a reference:
+    each image power and each term product formed whole, then truncated."""
+    tvars = next(iter(images.values())).vars
+    order = min([f.order] + [im.order for im in images.values()])
+
+    def image(name, e):
+        got = images[name] ** e
+        return got.truncate(order) if got.order > order else got
+
+    terms = ((((name, e) for name, e in zip(f.vars, key) if e), c)
+             for key, c in f.coeffs.items())
+    out = ring_map(terms, image, TruncatedSeries.one(tvars, order))
+    return out.truncate(order) if out.order > order else out
+
+
+def _compose_then_truncate(f: TruncatedSeries,
+                           g: TruncatedSeries) -> TruncatedSeries:
+    """``TruncatedSeries.compose`` before the cut, kept as a reference."""
+    order = min(f.order, g.order)
+    g = g if g.order == order else g.truncate(order)
+    acc = TruncatedSeries.zero(g.vars, order)
+    for n in range(order, -1, -1):
+        acc = acc * g
+        c = f.coeffs.get((n,))
+        if c is not None:
+            acc = acc + TruncatedSeries.constant(g.vars, c, order)
+        if acc.order > order:
+            acc = acc.truncate(order)
+    return acc
+
+
+def _assert_identical(got: TruncatedSeries, want: TruncatedSeries) -> None:
+    _assert_same(got, want)
+    assert list(got.coeffs) == list(want.coeffs) and repr(got) == repr(want)
+
+
+@st.composite
+def images_over(draw, tvars, coeffs):
+    """A series over ``tvars`` with valuation >= 1, at its own order."""
+    order = draw(st.integers(1, 7))
+    keys = st.lists(st.integers(0, len(tvars) - 1), min_size=1,
+                    max_size=order).map(
+        lambda vs: tuple(vs.count(i) for i in range(len(tvars))))
+    return TruncatedSeries(tvars, draw(st.dictionaries(keys, coeffs,
+                                                       max_size=4)), order)
+
+
+@pytest.mark.parametrize("coeffs", [rational_coeffs, poly_coeffs],
+                         ids=["rational", "poly"])
+@given(data=st.data())
+def test_cut_substitute_matches_the_old_substitute(coeffs, data):
+    XY, XYZ = ("X", "Y"), ("X", "Y", "Z")
+    f, _ = data.draw(series_pairs(2, coeffs))
+    images = {v: data.draw(images_over(XYZ, coeffs)) for v in XY}
+    _assert_identical(f.substitute(images),
+                      _substitute_then_truncate(f, images))
+
+
+@pytest.mark.parametrize("coeffs", [rational_coeffs, poly_coeffs],
+                         ids=["rational", "poly"])
+@given(data=st.data())
+def test_cut_compose_matches_the_old_compose(coeffs, data):
+    f = ts(data.draw(st.dictionaries(st.integers(0, 8), coeffs, max_size=6)),
+           data.draw(st.integers(0, 8)))
+    for tvars in (("T",), ("X", "Y")):
+        g = data.draw(images_over(tvars, coeffs))
+        _assert_identical(f.compose(g), _compose_then_truncate(f, g))
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_law_residuals_match_the_old_substitute_and_compose(n):
+    """The law and its associativity substitutions, on the genus's own
+    exponential, as the old substitute and compose formed them."""
+    law = genus_exponential(n)
+    e, log = law.exponential, law.logarithm()
+    XY, XYZ = ("X", "Y"), ("X", "Y", "Z")
+    lx = _substitute_then_truncate(
+        log, {"T": TruncatedSeries.variable(XY, "X", n)})
+    ly = _substitute_then_truncate(
+        log, {"T": TruncatedSeries.variable(XY, "Y", n)})
+    F = law.law()
+    _assert_identical(F, _compose_then_truncate(e, lx + ly))
+    x, y, z = (TruncatedSeries.variable(XYZ, v, n) for v in XYZ)
+    for images in ({"X": x, "Y": y}, {"X": y, "Y": z}):
+        inner = F.substitute(images)
+        _assert_identical(inner, _substitute_then_truncate(F, images))
+        outer = {"X": inner, "Y": z}
+        _assert_identical(F.substitute(outer),
+                          _substitute_then_truncate(F, outer))
+
+
 UNSCALED = {
     # rationals and polynomials side by side in one operand
     "mixed": poly_coeffs,

@@ -456,6 +456,30 @@ def test_tau_series_combines_exponential(table):
     assert tau.poly.coefficient({0: 6}) == F(1, 72)
 
 
+def _tau_series_then_truncate(weight, table) -> FockPoly:
+    """``tau_series`` before the cut, kept as a reference: each power of
+    the generating function formed whole, then truncated at the weight."""
+    Fgen = free_energy(weight, table).poly
+    acc = power = SparsePoly.const(UX, 1)
+    k = 1
+    while True:
+        power = (power * Fgen).weight_truncate(weight)
+        if not power:
+            break
+        acc = acc + power * F(1, factorial(k))
+        k += 1
+    return FockPoly(acc, weight)
+
+
+@pytest.mark.parametrize("weight", [0, 1, 4, 9, 13])
+def test_cut_tau_series_matches_the_old_tau_series(weight, table):
+    got, want = tau_series(weight, table), _tau_series_then_truncate(
+        weight, table)
+    assert got == want and repr(got.poly) == repr(want.poly)
+    assert ({m: type(c) for m, c in got.poly.terms.items()}
+            == {m: type(c) for m, c in want.poly.terms.items()})
+
+
 @pytest.mark.parametrize("n", [-1, 0, 1, 2])
 def test_shifted_operators_annihilate_tau(n, table):
     report = annihilation_check(n, 6, table)

@@ -7,6 +7,7 @@ function route (gamma_log_check) and against hand-expanded binomials.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -32,7 +33,6 @@ from qgenus.witt import (
     gbinom,
     ghost,
     ghost_inverse,
-    hall_inner,
     hl_q_gen,
     lattice_action_obj,
     lattice_apply,
@@ -40,7 +40,6 @@ from qgenus.witt import (
     lattice_grading_audit,
     lattice_sd_universe,
     lattice_universe,
-    matrix_element,
     nondegeneracy_witness,
     pairing,
     power_sums,
@@ -310,6 +309,37 @@ class TestBinomial:
         assert gbinom(0, 0) == 1
         with pytest.raises(DomainError):
             gbinom(3, -1)
+
+
+def hall_inner(a: SparsePoly, b: SparsePoly):
+    """Hall pairing in the reduced power-sum basis.
+
+    <p~_lam, p~_mu> = 0 unless lam = mu, where it is
+    prod_n (mult_n)! / n^{mult_n}.
+    """
+    if a.universe != UPS or b.universe != UPS:
+        raise IncompatibleOperands("Hall pairing lives on power-sum polynomials")
+    total = Fraction(0)
+    for mono, ca in a.terms.items():
+        cb = b.terms.get(mono)
+        if cb is None:
+            continue
+        norm = Fraction(1)
+        for k, e in mono:
+            norm *= Fraction(math.factorial(e), k ** e)
+        total = total + ca * cb * norm
+    return total
+
+
+def matrix_element(op: VertexOperator, dual_target: SparsePoly,
+                   source: SparsePoly) -> dict:
+    """<dual_target, op(z) source> as {z-exponent: scalar}."""
+    out = {}
+    for ez, res in vertex_apply(op, source).items():
+        val = hall_inner(dual_target, res)
+        if val:
+            out[ez] = val
+    return out
 
 
 def _random_power_sum_poly(rng, wmax):
