@@ -34,7 +34,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,30 +69,6 @@ _MAX_ROOT_ORDER = 64     # voa closure root-of-unity order
 _MAX_CPN = 12            # kw --cpn degree; memory grows ~5x per two degrees
 _MAX_POINTS = 10_000     # epsilon-table rows
 _MAX_EXPR_WEIGHT = 28    # expression and qfunction partition weight
-
-
-# ---------------------------------------------------------------------------
-# run configuration
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, fully determined: identical configs must produce
-    byte-identical stdout."""
-
-    subcommand: str
-    cache_path: Path | None = None
-    fmt: str = "pretty"
-    verbosity: int = 0
-
-    def __post_init__(self):
-        if self.fmt not in ("pretty", "json", "csv"):
-            raise DomainError(f"unknown output format {self.fmt!r}")
-
-
-def _config(obj: dict, subcommand: str) -> RunConfig:
-    return RunConfig(subcommand=subcommand, cache_path=obj.get("cache_path"),
-                     fmt=obj["fmt"], verbosity=obj["verbosity"])
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -364,13 +339,13 @@ def _emit_csv(header, rows) -> None:
     click.echo(buf.getvalue(), nl=False)
 
 
-def _emit(cfg: RunConfig, *, pretty, obj, rows=None) -> None:
-    if cfg.fmt == "json":
+def _emit(fmt: str, subcommand: str, *, pretty, obj, rows=None) -> None:
+    if fmt == "json":
         click.echo(json.dumps(obj, indent=2, sort_keys=True))
-    elif cfg.fmt == "csv":
+    elif fmt == "csv":
         if rows is None:
             raise click.UsageError(
-                f"'{cfg.subcommand}' has no CSV rendering; "
+                f"'{subcommand}' has no CSV rendering; "
                 "use --format pretty or json")
         _emit_csv(*rows)
     else:
@@ -440,10 +415,9 @@ def qreduce(obj, expr):
 
     Example: qreduce "q1^2" prints 2*q2.
     """
-    cfg = _config(obj, "qreduce")
     e = parse_q_expr(expr)
     x = repr(e.to_x())
-    _emit(cfg, pretty=[repr(e), f"x-basis: {x}"],
+    _emit(obj["fmt"], "qreduce", pretty=[repr(e), f"x-basis: {x}"],
           obj={"q_basis": repr(e), "x_basis": x})
 
 
@@ -453,11 +427,10 @@ def qreduce(obj, expr):
 def qfunction(obj, partition):
     """The orthogonal basis element indexed by a strict PARTITION
     ("3,2,1"), expanded in the square-free generators."""
-    cfg = _config(obj, "qfunction")
     lam = _parse_partition(partition)
     e = classical_q(lam)
     x = repr(e.to_x())
-    _emit(cfg, pretty=[repr(e), f"x-basis: {x}"],
+    _emit(obj["fmt"], "qfunction", pretty=[repr(e), f"x-basis: {x}"],
           obj={"partition": list(lam), "q_basis": repr(e), "x_basis": x})
 
 
@@ -470,14 +443,13 @@ def inner_cmd(obj, left, right):
 
     Example: inner "q1" "q1" prints 2.
     """
-    cfg = _config(obj, "inner")
     a = parse_q_expr(left, "LEFT")
     b = parse_q_expr(right, "RIGHT")
     ax, bx = a.to_x(), b.to_x()
     v = inner_x(ax, bx)
-    if cfg.verbosity:
+    if obj["verbosity"]:
         click.echo(f"x-basis: left = {ax!r}, right = {bx!r}", err=True)
-    _emit(cfg, pretty=[str(v)],
+    _emit(obj["fmt"], "inner", pretty=[str(v)],
           obj={"value": str(v), "left_x": repr(ax), "right_x": repr(bx)})
 
 
@@ -516,23 +488,22 @@ def intersection(obj, max_weight, no_cache, audit):
     recursion and persisted to a versioned JSON cache (atomic writes; a
     corrupt, mismatched or wrong-valued cache is regenerated with a
     warning)."""
-    cfg = _config(obj, "intersection")
     _require(0 <= max_weight <= _MAX_TABLE_WEIGHT,
              f"--max-weight is capped at {_MAX_TABLE_WEIGHT} (desk scale)")
     need = required_degree(max_weight)
-    path = cfg.cache_path or default_cache_path()
+    path = obj["cache_path"] or default_cache_path()
     table = IntersectionTable() if no_cache else _load_table(path)
     if table.complete_through < need:
         table.build_through(need)
         if not no_cache:
             _save_table(path, table)
-    if cfg.verbosity and not no_cache:
+    if obj["verbosity"] and not no_cache:
         click.echo(f"cache: {path} (complete through degree "
                    f"{table.complete_through})", err=True)
     chosen = [(K, v) for K, v in sorted(table.entries())
               if correlator_weight(K) <= max_weight]
     _emit(
-        cfg,
+        obj["fmt"], "intersection",
         pretty=[f"{_tau_label(K)} = {v}" for K, v in chosen],
         obj={"format": "intersection-table/1", "max_weight": max_weight,
              "entries": {",".join(str(c) for c in K): str(v)
@@ -579,7 +550,6 @@ def virasoro_check(obj, m, n, max_weight):
     """Verify one bracket relation of the degree operators on the
     oscillator representation; prints the central term and exits
     nonzero if any monomial witnesses a failure."""
-    cfg = _config(obj, "virasoro-check")
     _require(abs(m) <= _MAX_MODE and abs(n) <= _MAX_MODE,
              f"mode indices are capped at |m|, |n| <= {_MAX_MODE}")
     _require(0 <= max_weight <= _MAX_FOCK_WEIGHT,
@@ -594,7 +564,7 @@ def virasoro_check(obj, m, n, max_weight):
         if not res.is_zero_through(res.trusted):
             failures.append(powers)
     ok = not failures
-    _emit(cfg,
+    _emit(obj["fmt"], "virasoro-check",
           pretty=[f"central term: {central}",
                   f"monomials checked: {checked} (weight <= {max_weight})",
                   f"bracket [L_{m}, L_{n}]: {'pass' if ok else 'FAIL'}"],
@@ -634,20 +604,18 @@ def kw(obj, cpn, integrality, modp):
              "pass exactly one of --cpn, --integrality, --modp")
 
     if cpn is not None:
-        cfg = _config(obj, "kw")
         _require(0 <= cpn <= _MAX_CPN,
                  f"--cpn is capped at {_MAX_CPN} (desk scale)")
         p = projective_image(cpn)
         a, e = to_q_over_q1(p)
         qform = f"({e}) / q1^{a}" if a > 1 else (f"({e}) / q1" if a else str(e))
-        _emit(cfg,
+        _emit(obj["fmt"], "kw",
               pretty=[repr(p), f"q-basis: {qform}"],
               obj={"cpn": cpn, "x_basis": repr(p), "q_numerator": repr(e),
                    "q1_power": a})
         return
 
     if integrality is not None:
-        cfg = _config(obj, "kw")
         _require(2 <= integrality <= _MAX_ORDER,
                  f"--integrality is capped at {_MAX_ORDER}")
         bad = []
@@ -656,7 +624,7 @@ def kw(obj, cpn, integrality, modp):
             if not e.is_integral():
                 bad.append(k + 1)
         ok = not bad
-        _emit(cfg,
+        _emit(obj["fmt"], "kw",
               pretty=[f"exponential coefficients through T^{integrality}: "
                       + ("all integral in the square-free basis" if ok else
                          f"NOT integral at T^{bad}")],
@@ -666,7 +634,6 @@ def kw(obj, cpn, integrality, modp):
             sys.exit(1)
         return
 
-    cfg = _config(obj, "kw")
     _require(modp in (3, 5, 7, 11, 13),
              "--modp expects an odd prime up to 13")
     cutoff = (modp + 1) // 2
@@ -684,7 +651,7 @@ def kw(obj, cpn, integrality, modp):
             mismatches.append(k)
     ok = not mismatches
     lines.append(f"prediction: {'pass' if ok else 'FAIL'}")
-    _emit(cfg, pretty=lines,
+    _emit(obj["fmt"], "kw", pretty=lines,
           obj={"p": modp, "cutoff": cutoff, "rows": rows, "ok": ok})
     if not ok:
         sys.exit(1)
@@ -699,13 +666,18 @@ def kw(obj, cpn, integrality, modp):
 def fgl(obj, exp_file):
     """Check the formal-group-law axioms of a user-supplied exponential
     and print its logarithm; exits nonzero if any axiom fails."""
-    cfg = _config(obj, "fgl")
     try:
         data = json.loads(exp_file.read_text())
-        order = int(data["order"])
-        coeffs = {int(k): Fraction(v)
-                  for k, v in data["coefficients"].items()}
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
+        order, raw = data["order"], data["coefficients"]
+        # int() and Fraction() would take a float or a bool as some other
+        # number, so only JSON integers and rational strings pass
+        if type(order) is not int or any(type(v) not in (int, str)
+                                         for v in raw.values()):
+            raise TypeError("the order must be a JSON integer and each "
+                            "coefficient an integer or a rational string")
+        coeffs = {int(k): Fraction(v) for k, v in raw.items()}
+    except (ValueError, KeyError, TypeError, AttributeError,
+            ZeroDivisionError) as e:
         raise click.UsageError(f"invalid exponential file: {e}") from e
     _require(1 <= order <= _MAX_LAW_ORDER,
              f"law order is capped at {_MAX_LAW_ORDER} (desk scale)")
@@ -720,7 +692,7 @@ def fgl(obj, exp_file):
     }
     log = law.logarithm()
     ok = all(axioms.values())
-    _emit(cfg,
+    _emit(obj["fmt"], "fgl",
           pretty=[f"order: {order}"]
           + [f"{name}: {'pass' if good else 'FAIL'}"
              for name, good in axioms.items()]
@@ -750,7 +722,6 @@ def fgl(obj, exp_file):
 def ml(obj, alpha, z_str, compare_asymptotic, n_terms):
     """Evaluate the interpolating exponential at one point, optionally
     cross-checked against its asymptotic expansion."""
-    cfg = _config(obj, "ml")
     a = _parse_scalar(alpha, "--alpha")
     z = _parse_complex(z_str)
     s = ml_exp(a, z)
@@ -782,7 +753,8 @@ def ml(obj, alpha, z_str, compare_asymptotic, n_terms):
         row = [str(a), repr(z), repr(s.value), repr(s.error),
                repr(t.value), repr(t.error), repr(diff), repr(bound),
                "yes" if ok else "no"]
-    _emit(cfg, pretty=pretty, obj=obj_out, rows=(header, [row]))
+    _emit(obj["fmt"], "ml", pretty=pretty, obj=obj_out,
+          rows=(header, [row]))
     if not ok:
         sys.exit(1)
 
@@ -800,7 +772,6 @@ def epsilon_table(obj, x_min, x_max, points, log_spacing, output):
     """CSV table of the scaled-window integral: both evaluation lanes and
     the honest error bound at each grid point (for external plotters).
     This command always emits CSV, whatever --format says."""
-    cfg = _config(obj, "epsilon-table")
     _require(2 <= points <= _MAX_POINTS,
              f"--points must be in [2, {_MAX_POINTS}]")
     _require(x_min < x_max, "--x-min must be below --x-max")
@@ -818,7 +789,7 @@ def epsilon_table(obj, x_min, x_max, points, log_spacing, output):
     else:
         with open(output, "w") as fh:
             write_epsilon_csv(fh, xs)
-        if cfg.verbosity:
+        if obj["verbosity"]:
             click.echo(f"wrote {points} rows to {output}", err=True)
 
 
@@ -850,9 +821,8 @@ def _witt_from(coeffs: str, order: int | None, what: str) -> WittVector:
 def witt_ghost(obj, coeffs, order):
     """Ghost coordinates of the vector COEFFS."""
     h = _witt_from(coeffs, order, "COEFFS")
-    cfg = _config(obj, "witt ghost")
     g = ghost(h)
-    _emit(cfg,
+    _emit(obj["fmt"], "witt ghost",
           pretty=[f"g{n} = {g[n]}" for n in range(1, h.order + 1)],
           obj={"order": h.order,
                "coefficients": [str(h.coefficient(i))
@@ -872,10 +842,9 @@ def witt_mul_cmd(obj, left, right):
     b = _witt_from(right, None, "RIGHT")
     _require(a.order == b.order,
              "LEFT and RIGHT must have the same number of coefficients")
-    cfg = _config(obj, "witt mul")
     prod = witt_mul(a, b)
     cs = [prod.coefficient(i) for i in range(1, prod.order + 1)]
-    _emit(cfg,
+    _emit(obj["fmt"], "witt mul",
           pretty=[f"h{i} = {c}" for i, c in enumerate(cs, start=1)]
           + [f"integral: {'yes' if prod.is_integral() else 'no'}"],
           obj={"order": prod.order, "coefficients": [str(c) for c in cs],
@@ -892,12 +861,11 @@ def witt_qcheck(obj, coeffs, order):
     """Square-free parity criterion h(-T) = h(T)^(-1); exits nonzero
     with the residual when it fails."""
     h = _witt_from(coeffs, order, "COEFFS")
-    cfg = _config(obj, "witt qcheck")
     w = q_subfunctor_check(h)
     pretty = [f"square-free parity: {'pass' if w.ok else 'FAIL'}"]
     if not w.ok:
         pretty.append(f"residual: {w.residual!r}")
-    _emit(cfg, pretty=pretty,
+    _emit(obj["fmt"], "witt qcheck", pretty=pretty,
           obj={"ok": w.ok, "residual": None if w.ok else repr(w.residual)})
     if not w.ok:
         sys.exit(1)
@@ -928,7 +896,6 @@ def voa_y_check(obj, b_str, bp_str, window, weight_cap, t_str):
     """Multiplicativity of the operator assignment on a product of two
     elements, compared entry by entry inside the window.  Exits nonzero
     on failure and on an inconclusive (contentless) window."""
-    cfg = _config(obj, "voa y-check")
     _require(1 <= weight_cap <= _MAX_VOA_CAP,
              f"--weight-cap must be in [1, {_MAX_VOA_CAP}]")
     _require(window >= 0, "--window must be nonnegative")
@@ -949,7 +916,7 @@ def voa_y_check(obj, b_str, bp_str, window, weight_cap, t_str):
         pretty.append("window carries no content; widen it or raise the cap")
     for miss in w.mismatches[:3]:
         pretty.append(f"mismatch: {miss}")
-    _emit(cfg, pretty=pretty,
+    _emit(obj["fmt"], "voa y-check", pretty=pretty,
           obj={"status": w.status, "window": [-window, window],
                "weight_cap": weight_cap, "t": str(t),
                "modes_compared": w.compared,
@@ -978,14 +945,13 @@ def _mapped_monomials(b: SparsePoly, bp: SparsePoly, cap: int) -> int:
 @click.pass_obj
 def voa_table(obj, n, t_str, weight_cap):
     """Laurent-coefficient table of one power-sum operator."""
-    cfg = _config(obj, "voa table")
     _require(1 <= weight_cap <= _MAX_VOA_CAP,
              f"--weight-cap must be in [1, {_MAX_VOA_CAP}]")
     t = _parse_scalar(t_str, "--t")
     _require(isinstance(t, Fraction), "--t must be an exact rational")
     op = vertex_Y_powersum(n, t, weight_cap=weight_cap)
     table = vertex_table_obj(op)
-    _emit(cfg,
+    _emit(obj["fmt"], "voa table",
           pretty=[f"{z}: {_named_terms(entry)}"
                   for z, entry in table["coefficients"].items()],
           obj=table)
@@ -1001,13 +967,12 @@ def voa_closure(obj, n, order, weight_cap):
     """Does the operator stay inside the root-of-unity quotient?  Prime
     orders are computed on an exact cyclotomic table; composite orders
     use the divisibility criterion directly."""
-    cfg = _config(obj, "voa closure")
     _require(1 <= weight_cap <= _MAX_VOA_CAP,
              f"--weight-cap must be in [1, {_MAX_VOA_CAP}]")
     _require(order <= _MAX_ROOT_ORDER,
              f"--order is capped at {_MAX_ROOT_ORDER}")
     r = closure_report(n, order, weight_cap=weight_cap)
-    _emit(cfg,
+    _emit(obj["fmt"], "voa closure",
           pretty=[f"method: {r.method}",
                   "killed modes: " + (", ".join(str(m) for m in r.killed_modes)
                                       or "none"),
@@ -1036,10 +1001,9 @@ def voa_lattice(obj, gram_file, point_str, target_str, weight_cap):
     """Action of a lattice vertex operator on a sector vacuum: emits the
     Laurent table and runs the grading audit (exit nonzero on
     violations)."""
-    cfg = _config(obj, "voa lattice")
     _require(1 <= weight_cap <= _MAX_VOA_CAP,
              f"--weight-cap must be in [1, {_MAX_VOA_CAP}]")
-    lattice = lattice_from_json(gram_file.read_text())
+    lattice = lattice_from_json(gram_file.read_bytes())
     point = _parse_int_tuple(point_str, "--point")
     _require(len(point) == lattice.rank,
              f"--point needs {lattice.rank} coordinates")
@@ -1059,7 +1023,7 @@ def voa_lattice(obj, gram_file, point_str, target_str, weight_cap):
     pretty += [f"z^{e['z']} @ {tuple(e['component'])}: "
                f"{_named_terms(e['terms'])}" for e in table["entries"]]
     table["grading_audit"] = audit
-    _emit(cfg, pretty=pretty, obj=table)
+    _emit(obj["fmt"], "voa lattice", pretty=pretty, obj=table)
     if violations:
         sys.exit(1)
 

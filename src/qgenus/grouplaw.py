@@ -34,7 +34,6 @@ from .errors import DomainError
 from .qfunctions import QElement, xpoly_to_q
 from .rings import SparsePoly, UT, UX, dfact_odd
 from .series import TruncatedSeries
-from .virasoro import t_to_x
 
 XY = ("X", "Y")
 XYZ = ("X", "Y", "Z")
@@ -172,45 +171,9 @@ def universal_exponential(order: int) -> GroupLaw:
     return GroupLaw(TruncatedSeries.univariate("T", coeffs, order))
 
 
-def universal_normalization_residual(order: int) -> TruncatedSeries:
-    """Difference between the coordinate-changed universal law and the
-    renormalized main law -x_0 F(-x_0^-1 X, -x_0^-1 Y); zero when the
-    conventions table is consistent."""
-    Fu = universal_exponential(order).law().map_coeffs(
-        lambda c: t_to_x(c) if isinstance(c, SparsePoly) else c)
-    Fm = genus_exponential(order).law()
-    neg_x0 = SparsePoly.gen(UX, 0) * Fraction(-1)
-    inv = neg_x0.inv()
-
-    def renorm(key_coeff):
-        (i, j), c = key_coeff
-        return (i, j), neg_x0 * (inv ** (i + j)) * c
-
-    rescaled = TruncatedSeries(
-        XY, dict(renorm(kc) for kc in Fm.coeffs.items()), Fm.order)
-    return Fu - rescaled
-
-
 # ------------------------------------------------------------ scalar law
 
 def scalar_exponential(order: int) -> GroupLaw:
     """<e>(u) = sum_n (2n-1)!! u^(n+1): the main exponential at x_k = 1."""
     return GroupLaw(TruncatedSeries.univariate(
         "T", {n + 1: Fraction(dfact_odd(n)) for n in range(order)}, order))
-
-
-def characteristic_series(order: int) -> TruncatedSeries:
-    """sum_n (-u)^n / (2n+1)!! = 1 - u/3 + u^2/15 - u^3/105 + ... ."""
-    return TruncatedSeries.univariate(
-        "u", {n: Fraction((-1) ** n, dfact_odd(n + 1)) for n in range(order + 1)},
-        order)
-
-
-def characteristic_reciprocal(order: int) -> TruncatedSeries:
-    """Laurent inverse of u * (characteristic series):
-    u^-1 + 1/3 + 2u/45 + ... ."""
-    shifted = TruncatedSeries.univariate(
-        "u", {n + 1: Fraction((-1) ** n, dfact_odd(n + 1))
-              for n in range(order + 2)},
-        order + 2)
-    return shifted.inverse()

@@ -218,9 +218,6 @@ class QElement:
     __hash__ = None
 
     # -- structure -----------------------------------------------------------
-    def weights(self) -> set[int]:
-        return {sum(p) for p in self.terms}
-
     def max_weight(self) -> int:
         return max((sum(p) for p in self.terms), default=0)
 
@@ -353,25 +350,13 @@ def x_in_q(k: int) -> QElement:
     """x_k as an element of the algebra, by Newton's identity
     n q_n = sum_j 2 x_j q_(n-2j-1) (Macdonald, III.8) at n = 2k+1:
 
-        2 x_k = (2k+1) q_(2k+1) - sum_(j<k) 2 x_j q_(2k-2j).
-
-    The series route through log q(U) is :func:`log_q_coefficient`."""
+        2 x_k = (2k+1) q_(2k+1) - sum_(j<k) 2 x_j q_(2k-2j)."""
     if k < 0:
         raise DomainError("x-index must be >= 0")
     twice = (2 * k + 1) * QElement.gen(2 * k + 1)
     for j in range(k):
         twice = twice - 2 * x_in_q(j) * QElement.gen(2 * k - 2 * j)
     return twice / 2
-
-
-def log_q_coefficient(n: int) -> QElement:
-    """[U^n] log q(U); even n reduce to 0 in the algebra."""
-    qs = TruncatedSeries.univariate(
-        "U",
-        {0: QElement.one(), **{m: QElement.gen(m) for m in range(1, n + 1)}},
-        n)
-    c = qs.log().coefficient(n)
-    return c if isinstance(c, QElement) else QElement.zero()
 
 
 def xpoly_to_q(p: SparsePoly) -> QElement:
@@ -487,34 +472,6 @@ def eigen_universe(n: int):
     return symbol_universe(f"eig{n}", names, invertible=names), names
 
 
-def hl_q_series(n_eigs: int, t, order: int) -> TruncatedSeries:
-    """Generating series prod_i (1 - a_i^-1 t U) / (1 - a_i^-1 U) as a
-    truncated series in U with Laurent-polynomial coefficients in the a_i.
-
-    ``t`` may be any exact scalar (Fraction, int, CycloRational)."""
-    U, names = eigen_universe(n_eigs)
-    num = TruncatedSeries.one(("U",), order)
-    den = TruncatedSeries.one(("U",), order)
-    for name in names:
-        ai = SparsePoly.gen(U, name, -1)
-        num = num * TruncatedSeries.univariate("U", {0: 1, 1: -(ai * t)}, order)
-        den = den * TruncatedSeries.univariate("U", {0: 1, 1: -ai}, order)
-    return num * den.inverse()
-
-
-def hl_odd_power_sums(n_eigs: int, kmax: int) -> dict[int, SparsePoly]:
-    """The specialization of the odd coordinates at t = -1:
-    x_k -> sum_i a_i^-(2k+1)."""
-    U, names = eigen_universe(n_eigs)
-    out = {}
-    for k in range(kmax + 1):
-        s = SparsePoly.zero(U)
-        for name in names:
-            s = s + SparsePoly.gen(U, name, -(2 * k + 1))
-        out[k] = s
-    return out
-
-
 def lambda_duality_check(n_eigs: int, t) -> dict:
     """Check the inversion symmetry of the generating series: with
     N1/D1 = series at (eigenvalues, t) and N2/D2 the same at
@@ -559,18 +516,3 @@ def lambda_duality_check(n_eigs: int, t) -> dict:
         "strict": factor == 1,
         "factor": factor,
     }
-
-
-# ----------------------------------------------------------------- JSON
-
-def qelement_to_obj(e: QElement) -> dict[str, str]:
-    return {",".join(str(p) for p in part): str(c)
-            for part, c in sorted(e.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))}
-
-
-def qelement_from_obj(obj: Mapping[str, str]) -> QElement:
-    terms = {}
-    for key, val in obj.items():
-        part = tuple(int(p) for p in key.split(",")) if key else ()
-        terms[part] = Fraction(val)
-    return QElement(terms)

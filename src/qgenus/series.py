@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import add, mul
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from .errors import DomainError, IncompatibleOperands
 from .rings import (MonomialPacking, SparsePoly, Universe, coeff_inv,
@@ -468,10 +468,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.vars, g, n)
 
     # -- display ------------------------------------------------------------
-    def map_coeffs(self, f: Callable[[Any], Any]) -> "TruncatedSeries":
-        return TruncatedSeries(self.vars, {k: f(c) for k, c in self.coeffs.items()},
-                               self.order, self.low)
-
     def __repr__(self):
         head = render_terms(
             ("*".join(v if e == 1 else f"{v}^{e}"

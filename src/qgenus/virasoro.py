@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import DomainError, IncompatibleOperands, TruncationError
-from .rings import SparsePoly, Sqrt2, UT, UX, dfact_odd, double_factorial
+from .rings import SparsePoly, Sqrt2, UX, dfact_odd, double_factorial
 
 MultiIndex = tuple[int, ...]  # counts (K_0, K_1, ...), trailing zeros stripped
 
@@ -146,29 +146,6 @@ def l_bracket_residual(m: int, n: int, fock: FockPoly,
     if m + n == 0:
         rhs = rhs + fock.scale(Fraction(m ** 3 - m, 12))
     return (ab - ba) - rhs
-
-
-# ------------------------------------------------------- coordinate change
-
-def t_to_x(poly: SparsePoly) -> SparsePoly:
-    """Correlator coordinates to odd coordinates: t_k -> -(2k-1)!! x_k."""
-    if poly.universe != UT:
-        raise IncompatibleOperands("expected the t-universe")
-    mapping = {k: -dfact_odd(k) * SparsePoly.gen(UX, k) for k in poly.gens()}
-    if not mapping:
-        return SparsePoly.const(UX, poly.constant_term())
-    return poly.substitute(mapping, universe=UX)
-
-
-def x_to_t(poly: SparsePoly) -> SparsePoly:
-    """Inverse coordinate change: x_k -> -t_k / (2k-1)!!."""
-    if poly.universe != UX:
-        raise IncompatibleOperands("expected the x-universe")
-    mapping = {k: SparsePoly.gen(UT, k) * Fraction(-1, dfact_odd(k))
-               for k in poly.gens()}
-    if not mapping:
-        return SparsePoly.const(UT, poly.constant_term())
-    return poly.substitute(mapping, universe=UT)
 
 
 # ------------------------------------------------------ intersection table

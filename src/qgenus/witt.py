@@ -85,7 +85,6 @@ __all__ = [
     "lattice_from_json",
     "LatticeFockElement",
     "lattice_universe",
-    "lattice_sd_universe",
     "LatticeVertexOperator",
     "vertex_Y_lattice",
     "lattice_apply",
@@ -575,27 +574,58 @@ def vertex_apply(op: VertexOperator, state: SparsePoly) -> dict[int, SparsePoly]
 
     Returns {z-exponent: resulting state}; entries are sound wherever the
     weight cap covers the modes that can act (the cap bounds the s-side
-    weight added and the d-side weight removed).  Normal ordered: each
-    distinct dual part of an entry acts first (``_annihilate``), then its
-    result is multiplied by the matching multiplication part.
+    weight added and the d-side weight removed).  Each distinct dual part
+    of the table, across all z-exponents, is one annihilation part of
+    ``_normal_ordered``; its multiplication parts are the creation parts.
     """
     if state.universe != UPS:
         raise IncompatibleOperands("states are power-sum polynomials")
-    out: dict[int, SparsePoly] = {}
+    by_dual: dict[tuple, dict[int, dict]] = {}
     for ez, poly in op.table.items():
-        by_dual: dict[tuple, dict] = {}
         for mono, c in poly.terms.items():
             dual = tuple((m, e) for (side, m), e in mono if side == "d")
             mult = tuple((m, e) for (side, m), e in mono if side == "s")
-            by_dual.setdefault(dual, {})[mult] = c
-        acc = SparsePoly.zero(UPS)
-        for dual, mult in by_dual.items():
-            lowered = _annihilate(SparsePoly(UPS, {dual: 1}), state)
-            if lowered:
-                acc = acc + lowered * SparsePoly(UPS, mult)
-        if acc:
-            out[ez] = acc
-    return dict(sorted(out.items()))
+            by_dual.setdefault(dual, {}).setdefault(ez, {})[mult] = c
+    return _normal_ordered(
+        ((SparsePoly(UPS, {dual: 1}),
+          [(ez, SparsePoly(UPS, mult)) for ez, mult in by_ez.items()])
+         for dual, by_ez in by_dual.items()), state)
+
+
+def _normal_ordered(pairs, state: SparsePoly) -> dict[int, SparsePoly]:
+    """The normal-ordered action (Frenkel-Lepowsky-Meurman 1988): each
+    (annihilation part, [(z-exponent, creation part), ...]) pair in
+    ``pairs`` acts on the state once through ``_annihilate``, then each
+    creation part multiplies the result; products are summed by z-exponent.
+    """
+    out: dict[int, SparsePoly] = {}
+    for ann, creations in pairs:
+        lowered = _annihilate(ann, state)
+        if not lowered:
+            continue
+        for ez, cre in creations:
+            piece = cre * lowered
+            if piece:
+                out[ez] = out[ez] + piece if ez in out else piece
+    return {ez: p for ez, p in sorted(out.items()) if p}
+
+
+def _annihilate(ann: SparsePoly, state: SparsePoly) -> SparsePoly:
+    """Apply a polynomial in the dual modes: a state generator of weight n
+    (p~_n, or p~_n^(d) on a lattice) acts as (1/n) d/dp~_n."""
+    out = SparsePoly.zero(state.universe)
+    for mono, c in ann.terms.items():
+        term = state
+        scale = c
+        for key, e in mono:
+            for _ in range(e):
+                term = term.differentiate(key)
+            if not term:
+                break
+            scale = scale * Fraction(1, state.universe.weight(key) ** e)
+        if term:
+            out = out + term * scale
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -830,6 +860,13 @@ def closure_report(n: int, order: int, *, weight_cap: int) -> ClosureReport:
 # lattices
 # ---------------------------------------------------------------------------
 
+def _integer(x, what: str) -> int:
+    """``x`` itself if it is an int (not a bool): nothing is rounded."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DomainError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class LatticeData:
     """A finite-rank free abelian group with an integer symmetric form."""
@@ -837,7 +874,8 @@ class LatticeData:
     gram: tuple
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = tuple(tuple(_integer(x, "Gram entry") for x in row)
+                  for row in self.gram)
         n = len(g)
         for row in g:
             if len(row) != n:
@@ -852,11 +890,8 @@ class LatticeData:
     def rank(self) -> int:
         return len(self.gram)
 
-    def is_even(self) -> bool:
-        return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
-
     def check_vector(self, v: Sequence[int]) -> tuple[int, ...]:
-        vv = tuple(int(x) for x in v)
+        vv = tuple(_integer(x, "lattice coordinate") for x in v)
         if len(vv) != self.rank:
             raise DomainError(
                 f"vector length {len(vv)} does not match rank {self.rank}")
@@ -874,12 +909,15 @@ class LatticeData:
                      for i in range(self.rank))
 
 
-def lattice_from_json(text: str) -> LatticeData:
+def lattice_from_json(text: str | bytes) -> LatticeData:
     """Accept either a bare matrix [[...]] or {"gram": [[...]]}."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except ValueError as e:   # not JSON, or bytes that are not UTF-8
+        raise DomainError(f"Gram file is not JSON: {e}") from None
     if isinstance(obj, Mapping):
         obj = obj.get("gram")
-    if not isinstance(obj, list):
+    if not (isinstance(obj, list) and all(isinstance(r, list) for r in obj)):
         raise DomainError("expected a JSON Gram matrix")
     return LatticeData(tuple(tuple(row) for row in obj))
 
@@ -894,20 +932,6 @@ def lattice_universe(rank: int) -> Universe:
 
     return Universe(name=f"lat{rank}",
                     fmt=lambda k: f"p{k[1]}[{k[0]}]",
-                    weight=weight)
-
-
-def lattice_sd_universe(rank: int) -> Universe:
-    """Operator-side symbols: ("s"|"d", direction, n)."""
-    def weight(key):
-        side, d, n = key
-        if side not in ("s", "d") or not (0 <= d < rank) or n < 1:
-            raise DomainError(f"bad lattice operator symbol {key!r}")
-        return n
-
-    return Universe(name=f"latsd{rank}",
-                    fmt=lambda k: (f"p{k[2]}[{k[1]}]" if k[0] == "s"
-                                   else f"pd{k[2]}[{k[1]}]"),
                     weight=weight)
 
 
@@ -964,26 +988,6 @@ class LatticeVertexOperator:
     annihilation: tuple[SparsePoly, ...]
     weight_cap: int
 
-    @property
-    def table(self) -> dict[int, SparsePoly]:
-        """The mixed mode table over the operator universe: z-exponent ->
-        sum of creation[c] * annihilation[a] over c - a = e and
-        c + a <= weight_cap."""
-        uni = lattice_sd_universe(self.lattice.rank)
-
-        def rename(poly: SparsePoly, side: str) -> SparsePoly:
-            return SparsePoly(uni, {tuple(((side,) + k, x) for k, x in mono): c
-                                    for mono, c in poly.terms.items()})
-
-        creation = [rename(p, "s") for p in self.creation]
-        table: dict[int, SparsePoly] = {}
-        for a, ann in enumerate(self.annihilation):
-            dual = rename(ann, "d")
-            for c in range(self.weight_cap - a + 1):
-                prod = creation[c] * dual
-                table[c - a] = table[c - a] + prod if c - a in table else prod
-        return {e: p for e, p in sorted(table.items()) if p}
-
 
 def _mode_exponential(uni: Universe, coords: Sequence[int], sign: int,
                       weight_cap: int) -> tuple[SparsePoly, ...]:
@@ -1018,32 +1022,15 @@ def vertex_Y_lattice(point: Sequence[int], lattice: LatticeData, *,
         weight_cap)
 
 
-def _annihilate(ann: SparsePoly, state: SparsePoly) -> SparsePoly:
-    """Apply a polynomial in the dual modes: a state generator of weight n
-    (p~_n, or p~_n^(d) on a lattice) acts as (1/n) d/dp~_n."""
-    out = SparsePoly.zero(state.universe)
-    for mono, c in ann.terms.items():
-        term = state
-        scale = c
-        for key, e in mono:
-            for _ in range(e):
-                term = term.differentiate(key)
-            if not term:
-                break
-            scale = scale * Fraction(1, state.universe.weight(key) ** e)
-        if term:
-            out = out + term * scale
-    return out
-
-
 def lattice_apply(op: LatticeVertexOperator,
                   state: LatticeFockElement) -> dict[int, LatticeFockElement]:
     """Apply to a state: {z-exponent: resulting element}.
 
-    Each source component at mu contributes at z-exponents shifted by
-    <point, mu> and lands in the component mu + point.  The annihilation
-    half acts first; annihilation[a] kills every component of weight
-    below a.
+    Each source component at mu goes through ``_normal_ordered`` with the
+    pairs (annihilation[a], creation[c] at z^(c - a + <point, mu>)) for
+    c + a <= weight_cap, and lands in the component mu + point.
+    annihilation[a] kills every component of weight below a, so only
+    a <= its top weight is formed.
     """
     if state.lattice.gram != op.lattice.gram:
         raise IncompatibleOperands("state and operator use different lattices")
@@ -1051,22 +1038,13 @@ def lattice_apply(op: LatticeVertexOperator,
     for mu, poly in state.components.items():
         shift = op.lattice.inner(op.point, mu)
         target = tuple(a + b for a, b in zip(mu, op.point))
-        top = poly.max_weight()
-        for a, ann in enumerate(op.annihilation[:top + 1]):
-            lowered = _annihilate(ann, poly)
-            if not lowered:
-                continue
-            for c in range(op.weight_cap - a + 1):
-                piece = op.creation[c] * lowered
-                if piece:
-                    comp = raw.setdefault(c - a + shift, {})
-                    prev = comp.get(target)
-                    comp[target] = piece if prev is None else prev + piece
-    return {
-        e: LatticeFockElement(op.lattice, comps)
-        for e, comps in sorted(raw.items())
-        if any(p for p in comps.values())
-    }
+        pairs = ((ann, [(c - a + shift, op.creation[c])
+                        for c in range(op.weight_cap - a + 1)])
+                 for a, ann in enumerate(op.annihilation[:poly.max_weight() + 1]))
+        for ez, piece in _normal_ordered(pairs, poly).items():
+            raw.setdefault(ez, {})[target] = piece
+    return {ez: LatticeFockElement(op.lattice, comps)
+            for ez, comps in sorted(raw.items())}
 
 
 def lattice_grading_audit(op: LatticeVertexOperator,

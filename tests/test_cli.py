@@ -20,8 +20,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from qgenus.cli import ExprError, RunConfig, cli, parse_p_expr, parse_q_expr
-from qgenus.errors import DomainError
+from qgenus.cli import ExprError, cli, parse_p_expr, parse_q_expr
 from qgenus.qfunctions import QElement
 from qgenus.rings import SparsePoly, UPS
 from qgenus.series import TruncatedSeries
@@ -81,10 +80,6 @@ class TestGrammar:
             _Parser(src, lambda c: QElement.monomial((), c), _q_symbol).parse()
         assert err.value.pos == pos
 
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            RunConfig("x", fmt="yaml")
-
     def test_series_renderer(self):
         ts = TruncatedSeries.univariate(
             "T", {0: 1, 2: -1, 3: Fraction(1, 2)}, 4)
@@ -143,6 +138,10 @@ class TestAlgebraCommands:
         r = run("-f", "csv", "qreduce", "q1")
         assert r.exit_code == 2
         assert "no CSV rendering" in r.stderr
+
+    def test_unknown_format_is_a_usage_error(self):
+        r = run("-f", "yaml", "qreduce", "q1")
+        assert r.exit_code == 2 and r.stdout == ""
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +362,10 @@ class TestFgl:
         lines = r.stdout.splitlines()
         assert "associativity: pass" in lines
         assert lines[-1].startswith("logarithm: T - 1/2*T^2 + 1/3*T^3")
+        # the README's form: JSON integers and rational strings mixed
+        f = self._write(tmp_path, {"order": 6, "coefficients":
+                                   {"1": 1, "2": "1/2", "3": "1/6"}})
+        assert run("fgl", "--exp", f).exit_code == 0
 
     def test_json_report(self, tmp_path):
         f = self._write(tmp_path, {"order": 4, "coefficients": {"1": "1"}})
@@ -381,6 +384,17 @@ class TestFgl:
         assert run("fgl", "--exp", str(f)).exit_code == 2
         f = self._write(tmp_path, {"order": 4, "coefficients": {"9": "1"}})
         assert run("fgl", "--exp", str(f)).exit_code == 2
+        # no truncated order and no float or bool in the exact lane
+        for obj in ({"order": 3.9, "coefficients": {"1": "1", "2": 0.1}},
+                    {"order": 3, "coefficients": {"1": "1", "2": 0.1}},
+                    {"order": True, "coefficients": {"1": "1"}},
+                    {"order": "3", "coefficients": {"1": "1"}},
+                    {"order": 3, "coefficients": {"1": True}},
+                    {"order": 3, "coefficients": {"1": None}},
+                    {"order": 3, "coefficients": ["1"]}):
+            r = run("fgl", "--exp", self._write(tmp_path, obj))
+            assert r.exit_code == 2, obj
+            assert "invalid exponential file" in r.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +590,15 @@ class TestVoaCommands:
         gram.write_text("[[2]]")
         assert run("voa", "lattice", "--gram", str(gram),
                    "--point", "1,0").exit_code == 2
+
+    def test_lattice_gram_entries_must_be_integers(self, tmp_path):
+        gram = tmp_path / "gram.json"
+        for text in (b"[[2.7]]", b"[[true]]", b'[["7"]]', b'[["a"]]',
+                     b"[[null]]", b"[[1e400]]", b"not json", b"\xff[[2]]"):
+            gram.write_bytes(text)
+            r = run("voa", "lattice", "--gram", str(gram), "--point", "1")
+            assert r.exit_code == 2, text
+            assert r.stdout == ""
 
 
 # ---------------------------------------------------------------------------

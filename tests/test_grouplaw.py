@@ -6,15 +6,14 @@ from fractions import Fraction
 import pytest
 
 from qgenus.errors import DomainError
-from qgenus.grouplaw import (GroupLaw, characteristic_reciprocal,
-                             characteristic_series, genus_exponential,
+from qgenus.grouplaw import (XY, GroupLaw, genus_exponential,
                              projective_image, scalar_exponential,
                              specialize_ones, to_q_over_q1,
-                             universal_exponential,
-                             universal_normalization_residual)
+                             universal_exponential)
 from qgenus.qfunctions import QElement
 from qgenus.rings import SparsePoly, UX, dfact_odd
 from qgenus.series import TruncatedSeries
+from test_virasoro import t_to_x
 
 F = Fraction
 
@@ -92,6 +91,26 @@ def test_universal_law_axioms():
     assert law.commutativity_residual().is_zero()
 
 
+def universal_normalization_residual(order: int) -> TruncatedSeries:
+    """Difference between the coordinate-changed universal law and the
+    renormalized main law -x_0 F(-x_0^-1 X, -x_0^-1 Y); zero when the
+    conventions table is consistent."""
+    Fu = universal_exponential(order).law()
+    Fu = TruncatedSeries(XY, {k: t_to_x(c) if isinstance(c, SparsePoly) else c
+                              for k, c in Fu.coeffs.items()}, Fu.order)
+    Fm = genus_exponential(order).law()
+    neg_x0 = SparsePoly.gen(UX, 0) * Fraction(-1)
+    inv = neg_x0.inv()
+
+    def renorm(key_coeff):
+        (i, j), c = key_coeff
+        return (i, j), neg_x0 * (inv ** (i + j)) * c
+
+    rescaled = TruncatedSeries(
+        XY, dict(renorm(kc) for kc in Fm.coeffs.items()), Fm.order)
+    return Fu - rescaled
+
+
 def test_universal_law_is_renormalized_main_law():
     assert universal_normalization_residual(6).is_zero()
 
@@ -141,6 +160,23 @@ def test_scalar_law_axioms():
 
 
 # ---------------------------------------------------- characteristic series
+
+def characteristic_series(order: int) -> TruncatedSeries:
+    """sum_n (-u)^n / (2n+1)!! = 1 - u/3 + u^2/15 - u^3/105 + ... ."""
+    return TruncatedSeries.univariate(
+        "u", {n: Fraction((-1) ** n, dfact_odd(n + 1)) for n in range(order + 1)},
+        order)
+
+
+def characteristic_reciprocal(order: int) -> TruncatedSeries:
+    """Laurent inverse of u * (characteristic series):
+    u^-1 + 1/3 + 2u/45 + ... ."""
+    shifted = TruncatedSeries.univariate(
+        "u", {n + 1: Fraction((-1) ** n, dfact_odd(n + 1))
+              for n in range(order + 2)},
+        order + 2)
+    return shifted.inverse()
+
 
 def test_characteristic_series_low_terms():
     s = characteristic_series(3)

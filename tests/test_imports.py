@@ -1,16 +1,42 @@
-"""Every name a program module imports is used in that module.
+"""Every name a program module imports is used in that module, and every
+function and class it defines is used outside the tests.
 
-A static scan with the standard ``ast`` module: a name bound by an import
+Static scans with the standard ``ast`` module.  A name bound by an import
 counts as used when it is read anywhere in the module, appears in a string
-annotation, or is listed in ``__all__`` (the package's re-exports).
+annotation, or is listed in ``__all__`` (the package's re-exports).  A
+module-level function or class counts as used when the package reads it
+outside its own definition, when a click decorator registers it, or when
+``perfbench/`` or README.md names it; re-exports alone do not count.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qgenus"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qgenus"
+
+#: Module-level names that only tests call, kept in the package on purpose.
+KEEP = {
+    "analytic.sin_half": "public float-lane function in qgenus.__all__; "
+                         "tests/test_analytic.py checks it against scipy",
+    "grouplaw.specialize_ones": "acceptance gate (tests/test_acceptance.py)",
+    "qfunctions.lambda_duality_check": "acceptance gate "
+                                       "(tests/test_acceptance.py)",
+    "virasoro.alpha_apply": "acceptance gate (tests/test_acceptance.py)",
+    "witt.nondegeneracy_witness": "acceptance gate (tests/test_acceptance.py)",
+    "witt.witt_add": "acceptance gate (tests/test_acceptance.py)",
+    "witt.witt_unit": "acceptance gate (tests/test_acceptance.py)",
+    "witt.witt_neg": "the Witt group inverse, in qgenus.__all__ beside "
+                     "witt_add and witt_zero",
+    "witt.root_of_unity_check": "the root-of-unity quotient criterion, in "
+                                "qgenus.__all__ beside q_subfunctor_check",
+    "witt.gamma_log_check": "named oracle: the Gamma-log route for vertex "
+                            "operators (ROADMAP aim 2)",
+}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -51,3 +77,61 @@ def test_the_scan_sees_an_unused_import():
               "def f(x: 'Any') -> None:\n"
               "    return json.dumps(x)\n")
     assert _unused_imports(source) == ["Iterable (line 1)"]
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _registered(node: ast.AST) -> bool:
+    """A click command or group: its decorator is what calls it."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group")
+               for d in node.decorator_list)
+
+
+def _unreferenced(modules: dict[str, str], elsewhere: str) -> list[str]:
+    """``module.name`` of every module-level function and class in
+    ``modules`` (name -> source) that no other top-level statement of the
+    package reads, no click decorator registers and ``elsewhere`` (text)
+    does not name."""
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    reads = Counter()  # name -> top-level statements reading it
+    for tree in trees.values():
+        for stmt in tree.body:
+            reads.update(_names_read(stmt))
+    words = set(re.findall(r"\w+", elsewhere))
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            outside = reads[node.name] - (node.name in _names_read(node))
+            if not (outside or _registered(node) or node.name in words):
+                out.append(f"{module}.{node.name}")
+    return sorted(out)
+
+
+def test_every_definition_is_used_outside_the_tests():
+    modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    elsewhere = "\n".join([(ROOT / "README.md").read_text()] + [
+        p.read_text() for p in (ROOT / "perfbench").glob("*.py")])
+    found = _unreferenced(modules, elsewhere)
+    # move each name listed here into the test that calls it, or KEEP it
+    assert [name for name in found if name not in KEEP] == []
+    # a KEEP entry that is gone or now used elsewhere
+    assert [name for name in KEEP if name not in found] == []
+
+
+def test_the_scan_sees_an_unused_function():
+    modules = {
+        "m": ("import click\n"
+              "def used():\n    return 1\n"
+              "def unused(n):\n    return unused(n - 1) if n else used\n"
+              "class C:\n    def make(self):\n        return C()\n"
+              "@click.command()\ndef cmd():\n    pass\n"
+              "X = used()\n"),
+        "n": "from .m import C\ndef f(c: C):\n    return c\n",
+    }
+    assert _unreferenced(modules, "f is named in the README") == ["m.unused"]

@@ -12,12 +12,12 @@ from qgenus import qfunctions
 from qgenus.cli import cli
 from qgenus.errors import DomainError
 from qgenus.qfunctions import (QElement, QTensor, antipode, classical_q,
-                               coproduct, counit, eigen_universe, hl_odd_power_sums,
-                               hl_q_series, inner, inner_x, lambda_duality_check,
-                               log_q_coefficient, q_in_x, q_reduce,
-                               qelement_from_obj, qelement_to_obj,
-                               strict_partitions, two_row, x_in_q, xpoly_to_q)
+                               coproduct, counit, eigen_universe, inner,
+                               inner_x, lambda_duality_check, q_in_x,
+                               q_reduce, strict_partitions, two_row, x_in_q,
+                               xpoly_to_q)
 from qgenus.rings import CycloRational, SparsePoly, UX
+from qgenus.series import TruncatedSeries
 
 F = Fraction
 
@@ -236,6 +236,17 @@ def test_first_odd_coordinates():
     assert 2 * x_in_q(1) == 3 * QElement.gen(3) - QElement.gen(1) * QElement.gen(2)
 
 
+def log_q_coefficient(n: int) -> QElement:
+    """[U^n] log q(U), the series route to x_in_q; even n reduce to 0 in
+    the algebra."""
+    qs = TruncatedSeries.univariate(
+        "U",
+        {0: QElement.one(), **{m: QElement.gen(m) for m in range(1, n + 1)}},
+        n)
+    c = qs.log().coefficient(n)
+    return c if isinstance(c, QElement) else QElement.zero()
+
+
 def test_even_log_coefficients_vanish():
     for n in (2, 4, 6, 8):
         assert log_q_coefficient(n) == QElement.zero()
@@ -347,6 +358,34 @@ def test_classical_family_is_integral_and_unitriangular():
 
 # ------------------------------------------------ eigenvalue specialization
 
+def hl_q_series(n_eigs: int, t, order: int) -> TruncatedSeries:
+    """Generating series prod_i (1 - a_i^-1 t U) / (1 - a_i^-1 U) as a
+    truncated series in U with Laurent-polynomial coefficients in the a_i.
+
+    ``t`` may be any exact scalar (Fraction, int, CycloRational)."""
+    U, names = eigen_universe(n_eigs)
+    num = TruncatedSeries.one(("U",), order)
+    den = TruncatedSeries.one(("U",), order)
+    for name in names:
+        ai = SparsePoly.gen(U, name, -1)
+        num = num * TruncatedSeries.univariate("U", {0: 1, 1: -(ai * t)}, order)
+        den = den * TruncatedSeries.univariate("U", {0: 1, 1: -ai}, order)
+    return num * den.inverse()
+
+
+def hl_odd_power_sums(n_eigs: int, kmax: int) -> dict[int, SparsePoly]:
+    """The specialization of the odd coordinates at t = -1:
+    x_k -> sum_i a_i^-(2k+1)."""
+    U, names = eigen_universe(n_eigs)
+    out = {}
+    for k in range(kmax + 1):
+        s = SparsePoly.zero(U)
+        for name in names:
+            s = s + SparsePoly.gen(U, name, -(2 * k + 1))
+        out[k] = s
+    return out
+
+
 def test_hl_series_at_minus_one_matches_odd_power_sums():
     n_eigs, order = 3, 5
     series = hl_q_series(n_eigs, -1, order)
@@ -388,6 +427,19 @@ def test_duality_rejects_zero_t():
 
 
 # ------------------------------------------------------------------- JSON
+
+def qelement_to_obj(e: QElement) -> dict[str, str]:
+    return {",".join(str(p) for p in part): str(c)
+            for part, c in sorted(e.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))}
+
+
+def qelement_from_obj(obj) -> QElement:
+    terms = {}
+    for key, val in obj.items():
+        part = tuple(int(p) for p in key.split(",")) if key else ()
+        terms[part] = Fraction(val)
+    return QElement(terms)
+
 
 @given(small_partitions)
 def test_json_round_trip(parts):

@@ -9,16 +9,16 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from qgenus.errors import DomainError, TruncationError
-from qgenus.rings import SparsePoly, UT, UX, double_factorial
+from qgenus.errors import DomainError, IncompatibleOperands, TruncationError
+from qgenus.rings import SparsePoly, UT, UX, dfact_odd, double_factorial
 from qgenus.virasoro import (AnnihilationReport, FockPoly, IntersectionTable,
                              _pack, _unpack,
                              alpha_apply, annihilation_check, canon_index,
                              correlator_weight, counts_from_degrees,
                              free_energy, genus_of, genus_zero_closed_form,
                              index_stats, l_apply, l_bracket_residual,
-                             load_table, save_table, string_oracle, t_to_x,
-                             table_audit, tau_series, x_to_t)
+                             load_table, save_table, string_oracle,
+                             table_audit, tau_series)
 
 F = Fraction
 
@@ -112,6 +112,27 @@ def test_l_zero_is_weight_grading(k, e, j):
 
 
 # ------------------------------------------------------- coordinate change
+
+def t_to_x(poly: SparsePoly) -> SparsePoly:
+    """Correlator coordinates to odd coordinates: t_k -> -(2k-1)!! x_k."""
+    if poly.universe != UT:
+        raise IncompatibleOperands("expected the t-universe")
+    mapping = {k: -dfact_odd(k) * SparsePoly.gen(UX, k) for k in poly.gens()}
+    if not mapping:
+        return SparsePoly.const(UX, poly.constant_term())
+    return poly.substitute(mapping, universe=UX)
+
+
+def x_to_t(poly: SparsePoly) -> SparsePoly:
+    """Inverse coordinate change: x_k -> -t_k / (2k-1)!!."""
+    if poly.universe != UX:
+        raise IncompatibleOperands("expected the x-universe")
+    mapping = {k: SparsePoly.gen(UT, k) * Fraction(-1, dfact_odd(k))
+               for k in poly.gens()}
+    if not mapping:
+        return SparsePoly.const(UT, poly.constant_term())
+    return poly.substitute(mapping, universe=UT)
+
 
 def test_jozefiak_change_of_variables():
     t0, t2 = SparsePoly.gen(UT, 0), SparsePoly.gen(UT, 2)

@@ -17,7 +17,8 @@ from hypothesis import given, strategies as st
 from qgenus import witt
 from qgenus.errors import DomainError, IncompatibleOperands, InvariantError
 from qgenus.qfunctions import QElement, q_in_x
-from qgenus.rings import CycloRational, SparsePoly, UPS, UX, symbol_universe
+from qgenus.rings import (CycloRational, SparsePoly, UPS, UX, Universe,
+                          symbol_universe)
 from qgenus.series import TruncatedSeries
 from qgenus.witt import (
     SD,
@@ -38,7 +39,6 @@ from qgenus.witt import (
     lattice_apply,
     lattice_from_json,
     lattice_grading_audit,
-    lattice_sd_universe,
     lattice_universe,
     nondegeneracy_witness,
     pairing,
@@ -659,6 +659,44 @@ _ORACLE_GRAMS = [((1,),), ((2,),), ((4,),), ((2, 1), (1, 2)),
                  ((2, -1), (-1, 2)), ((2, 0), (0, 4)), ((1, 2), (2, -3))]
 
 
+def _is_even(L):
+    return all(L.gram[i][i] % 2 == 0 for i in range(L.rank))
+
+
+def lattice_sd_universe(rank):
+    """Operator-side symbols: ("s"|"d", direction, n)."""
+    def weight(key):
+        side, d, n = key
+        if side not in ("s", "d") or not (0 <= d < rank) or n < 1:
+            raise DomainError(f"bad lattice operator symbol {key!r}")
+        return n
+
+    return Universe(name=f"latsd{rank}",
+                    fmt=lambda k: (f"p{k[2]}[{k[1]}]" if k[0] == "s"
+                                   else f"pd{k[2]}[{k[1]}]"),
+                    weight=weight)
+
+
+def _lattice_table(op):
+    """The mixed mode table of a lattice operator over the operator
+    universe: z-exponent -> sum of creation[c] * annihilation[a] over
+    c - a = e and c + a <= weight_cap."""
+    uni = lattice_sd_universe(op.lattice.rank)
+
+    def rename(poly, side):
+        return SparsePoly(uni, {tuple(((side,) + k, x) for k, x in mono): c
+                                for mono, c in poly.terms.items()})
+
+    creation = [rename(p, "s") for p in op.creation]
+    table = {}
+    for a, ann in enumerate(op.annihilation):
+        dual = rename(ann, "d")
+        for c in range(op.weight_cap - a + 1):
+            prod = creation[c] * dual
+            table[c - a] = table[c - a] + prod if c - a in table else prod
+    return {e: p for e, p in sorted(table.items()) if p}
+
+
 def _mixed_mode_table(point, L, cap):
     """exp of the whole mode sum (multiplication and dual modes together),
     power by power, every power truncated at total weight cap."""
@@ -739,19 +777,29 @@ class TestLattice:
         with pytest.raises(DomainError):
             LatticeData(((1, 2),))              # not square
         L = LatticeData(((2, 1), (1, 4)))
-        assert L.rank == 2 and L.is_even()
+        assert L.rank == 2 and _is_even(L)
         assert L.inner((1, 0), (0, 1)) == 1
         assert L.inner((1, 1), (1, 1)) == 8
         assert L.pairing_vector((1, 0)) == (2, 1)
         with pytest.raises(DomainError):
             L.inner((1,), (0, 1))
+        # entries are ints, never rounded or parsed into one
+        for bad in (2.7, True, "7", "a", None, float("inf"), Fraction(2)):
+            with pytest.raises(DomainError, match="Gram entry"):
+                LatticeData(((bad,),))
+            with pytest.raises(DomainError, match="lattice coordinate"):
+                L.inner((1, bad), (0, 1))
 
     def test_json_input(self):
         L = lattice_from_json('{"gram": [[2]]}')
         assert L.gram == ((2,),)
         assert lattice_from_json("[[2, 0], [0, 2]]").rank == 2
-        with pytest.raises(DomainError):
-            lattice_from_json('{"rows": 3}')
+        assert lattice_from_json(b"[[-4]]").gram == ((-4,),)
+        for bad in ('{"rows": 3}', "[[2.7]]", "[[true]]", '[["7"]]', '[["a"]]',
+                    "[[null]]", "[[1e400]]", "[2]", "[[2]", "gram: 2",
+                    b"\xff[[2]]"):
+            with pytest.raises(DomainError):
+                lattice_from_json(bad)
 
     def test_zero_point_is_identity(self):
         L = LatticeData(((2,),))
@@ -795,14 +843,14 @@ class TestLattice:
         b = vertex_Y_lattice((0, 1), L, weight_cap=cap)
         c = vertex_Y_lattice((1, 1), L, weight_cap=cap)
         conv = {}
-        for e1, p1 in a.table.items():
-            for e2, p2 in b.table.items():
+        for e1, p1 in _lattice_table(a).items():
+            for e2, p2 in _lattice_table(b).items():
                 prod = (p1 * p2).weight_truncate(cap)
                 if prod:
                     key = e1 + e2
                     conv[key] = conv.get(key) + prod if key in conv else prod
         conv = {k: v for k, v in conv.items() if v}
-        assert conv == dict(c.table)
+        assert conv == _lattice_table(c)
 
     @given(st.sampled_from(_ORACLE_GRAMS), st.integers(1, 6),
            st.integers(0, 10 ** 6))
@@ -812,13 +860,18 @@ class TestLattice:
         point = tuple(rng.randint(-2, 2) for _ in range(L.rank))
         op = vertex_Y_lattice(point, L, weight_cap=cap)
         table = _mixed_mode_table(point, L, cap)
-        assert op.table == table
+        assert _lattice_table(op) == table
         state = _random_homogeneous_state(L, rng)
-        out = lattice_apply(op, state)
-        assert {e: elem.components for e, elem in out.items()} == \
-            _apply_every_monomial(point, L, table, state)
+        applied = lattice_apply(op, state)
+        out = {e: elem.components for e, elem in applied.items()}
+        ref = _apply_every_monomial(point, L, table, state)
+        assert out == ref
+        assert {e: {mu: repr(p) for mu, p in comps.items()}
+                for e, comps in out.items()} == \
+            {e: {mu: repr(p) for mu, p in comps.items()}
+             for e, comps in ref.items()}
         assert lattice_grading_audit(op, state) == ()
-        assert lattice_grading_audit(op, state, applied=out) == ()
+        assert lattice_grading_audit(op, state, applied=applied) == ()
 
     def test_action_json_shape(self):
         L = LatticeData(((2,),))
