@@ -2,53 +2,49 @@
 class genus — factorial Schur-Q style generators, a twisted half-integer
 Virasoro action with intersection-number tables, the associated one-
 dimensional formal group laws, companion float asymptotics, and a big-Witt
-/ vertex-operator layer, with a click CLI on top."""
+/ vertex-operator layer, with a click CLI on top.
 
-from .analytic import (FloatEval, epsilon_inverse, epsilon_law, epsilon_num,
-                       infinity_law, ml_asymptotic, ml_exp, psi,
-                       psi_hom_check, sin_half)
-from .errors import (DomainError, IncompatibleOperands, InvariantError,
-                     TruncationError)
-from .grouplaw import (GroupLaw, genus_exponential, projective_image,
-                       scalar_exponential, to_q_over_q1,
-                       universal_exponential)
-from .qfunctions import (QElement, QTensor, classical_q, coproduct, counit,
-                         antipode, inner, lambda_duality_check, q_reduce,
-                         strict_partitions, x_in_q, xpoly_to_q)
-from .rings import (CycloRational, SparsePoly, Sqrt2, Universe, UPS, UQ, UT,
-                    UX, dfact_odd, double_factorial)
-from .series import TruncatedSeries
-from .virasoro import (FockPoly, IntersectionTable, alpha_apply,
-                       annihilation_check, free_energy, genus_of,
-                       genus_zero_closed_form, l_apply, l_bracket_residual,
-                       string_oracle, tau_series)
-from .witt import (GhostVector, LatticeData, WittVector,
-                   Y_multiplicativity_check, closure_report, ghost,
-                   ghost_inverse, hl_q_gen, nondegeneracy_witness, pairing,
-                   q_subfunctor_check, root_of_unity_check, trace,
-                   vertex_Y_element, vertex_Y_lattice, vertex_Y_powersum,
-                   witt_add, witt_mul, witt_neg, witt_unit, witt_zero)
+Importing the package loads none of its modules: each name below is
+imported from its module on first use (PEP 562)."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CycloRational", "DomainError", "FloatEval", "FockPoly", "GhostVector",
-    "GroupLaw", "IncompatibleOperands", "IntersectionTable", "InvariantError",
-    "LatticeData",
-    "QElement", "QTensor", "SparsePoly", "Sqrt2", "TruncatedSeries",
-    "TruncationError", "Universe", "UPS", "UQ", "UT", "UX", "WittVector",
-    "Y_multiplicativity_check", "alpha_apply", "annihilation_check",
-    "antipode", "classical_q", "closure_report", "coproduct", "counit",
-    "dfact_odd", "double_factorial", "epsilon_inverse", "epsilon_law",
-    "epsilon_num", "free_energy", "genus_exponential", "genus_of",
-    "genus_zero_closed_form", "ghost", "ghost_inverse", "hl_q_gen", "inner",
-    "infinity_law", "l_apply", "l_bracket_residual", "lambda_duality_check",
-    "ml_asymptotic", "ml_exp", "nondegeneracy_witness", "pairing",
-    "projective_image", "psi", "psi_hom_check", "q_reduce",
-    "q_subfunctor_check", "root_of_unity_check", "scalar_exponential",
-    "sin_half", "strict_partitions", "string_oracle", "tau_series",
-    "to_q_over_q1", "trace", "universal_exponential", "vertex_Y_element",
-    "vertex_Y_lattice", "vertex_Y_powersum", "witt_add", "witt_mul",
-    "witt_neg", "witt_unit", "witt_zero", "x_in_q", "xpoly_to_q",
-    "__version__",
-]
+_EXPORTS = {
+    "analytic": ("FloatEval", "epsilon_inverse", "epsilon_law", "epsilon_num",
+                 "infinity_law", "ml_asymptotic", "ml_exp", "psi",
+                 "psi_hom_check", "sin_half"),
+    "errors": ("DomainError", "IncompatibleOperands", "InvariantError",
+               "TruncationError"),
+    "grouplaw": ("GroupLaw", "genus_exponential", "projective_image",
+                 "scalar_exponential", "to_q_over_q1", "universal_exponential"),
+    "qfunctions": ("QElement", "QTensor", "classical_q", "coproduct", "counit",
+                   "antipode", "inner", "lambda_duality_check", "q_reduce",
+                   "strict_partitions", "x_in_q", "xpoly_to_q"),
+    "rings": ("CycloRational", "SparsePoly", "Sqrt2", "Universe", "UPS", "UQ",
+              "UT", "UX", "dfact_odd", "double_factorial"),
+    "series": ("TruncatedSeries",),
+    "virasoro": ("FockPoly", "IntersectionTable", "alpha_apply",
+                 "annihilation_check", "free_energy", "genus_of",
+                 "genus_zero_closed_form", "l_apply", "l_bracket_residual",
+                 "string_oracle", "tau_series"),
+    "witt": ("GhostVector", "LatticeData", "WittVector",
+             "Y_multiplicativity_check", "closure_report", "ghost",
+             "ghost_inverse", "hl_q_gen", "nondegeneracy_witness", "pairing",
+             "q_subfunctor_check", "root_of_unity_check", "trace",
+             "vertex_Y_element", "vertex_Y_lattice", "vertex_Y_powersum",
+             "witt_add", "witt_mul", "witt_neg", "witt_unit", "witt_zero"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__: list[str] = [*_OWNER, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import ``name`` from its module, kept as a global for later lookups."""
+    if name not in _OWNER:  # "from qgenus import cli" imports the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_OWNER[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
+    return value

@@ -31,7 +31,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, TruncationError
 
@@ -523,8 +523,7 @@ def psi(x: float) -> float:
     return math.exp(-1.0 / inv)
 
 
-@dataclass(frozen=True)
-class PsiWitness:
+class PsiWitness(NamedTuple):
     x: float
     y: float
     lhs: float               # psi(x ∘_eps y)

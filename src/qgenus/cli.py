@@ -7,6 +7,9 @@ timestamps, no environment echoes — status notes and warnings go to
 stderr.  Exact rationals are serialized as ``p/q`` strings in JSON; CSV
 adds decimal approximations next to them.
 
+Each function imports the library names it uses in its own body, so a
+command loads only the layers it runs.
+
 Exit codes: 0 success, 1 a requested check failed, 2 usage error
 (including unparseable expressions and domain violations), 3 internal
 error.
@@ -24,7 +27,8 @@ sums) and ``h1, h2, ...`` (complete homogeneous) for the vertex-operator
 commands.  Multiplication is always explicit.  Partitions are
 comma-separated part lists like ``"3,2,1"``.  Weights are capped at 28
 (``q_k``, ``p_k`` and ``h_k`` weigh k, ``x_k`` weighs 2k+1): a symbol,
-product, power or partition above that is a usage error.
+product, power or partition above that is a usage error, and so is
+nesting parentheses and minus signs more than 100 deep.
 """
 
 from __future__ import annotations
@@ -39,21 +43,7 @@ from pathlib import Path
 
 import click
 
-from .analytic import ml_asymptotic, ml_exp, write_epsilon_csv
 from .errors import DomainError, IncompatibleOperands, TruncationError
-from .grouplaw import GroupLaw, projective_image, to_q_over_q1
-from .qfunctions import QElement, classical_q, inner_x, is_strict, x_in_q
-from .rings import SparsePoly, UPS, UX, dfact_odd
-from .series import TruncatedSeries
-from .virasoro import (FockPoly, IntersectionTable, correlator_weight,
-                       default_cache_path, genus_of, index_stats,
-                       l_bracket_residual, load_table, required_degree,
-                       save_table, table_audit)
-from .witt import (LatticeFockElement, WittVector, Y_multiplicativity_check,
-                   closure_report, ghost, hl_q_gen, lattice_action_obj,
-                   lattice_apply, lattice_from_json, lattice_grading_audit,
-                   lattice_universe, q_subfunctor_check, vertex_Y_lattice,
-                   vertex_Y_powersum, vertex_table_obj, witt_mul)
 
 # Desk-scale ceilings: everything below finishes in seconds on a laptop;
 # anything above deserves a batch job, not a CLI call.
@@ -69,6 +59,7 @@ _MAX_ROOT_ORDER = 64     # voa closure root-of-unity order
 _MAX_CPN = 12            # kw --cpn degree; memory grows ~5x per two degrees
 _MAX_POINTS = 10_000     # epsilon-table rows
 _MAX_EXPR_WEIGHT = 28    # expression and qfunction partition weight
+_MAX_EXPR_DEPTH = 100    # nesting, well inside Python's recursion limit
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -128,11 +119,12 @@ class _Parser:
     """Recursive descent over the grammar in the module docstring; the
     element type is fixed by the two callbacks.  A symbol, product or power
     whose weight would pass ``_MAX_EXPR_WEIGHT`` is refused before it is
-    formed."""
+    formed, and so is nesting deeper than ``_MAX_EXPR_DEPTH``."""
 
     def __init__(self, src: str, const, symbol):
         self.toks = _tokenize(src)
         self.k = 0
+        self.depth = 0  # parentheses and unary minus signs now open
         self.const = const
         self.symbol = symbol
 
@@ -181,15 +173,20 @@ class _Parser:
 
     def _unary(self):
         kind, txt, pos = self._peek()
-        if (kind, txt) == ("op", "-"):
+        if (kind, txt) in (("op", "-"), ("op", "(")):
             self._take()
-            return -self._unary()
-        if (kind, txt) == ("op", "("):
-            self._take()
-            e = self._expr()
-            kind, txt, pos = self._take()
-            if (kind, txt) != ("op", ")"):
-                raise ExprError(pos, "expected ')'")
+            self.depth += 1
+            if self.depth > _MAX_EXPR_DEPTH:
+                raise ExprError(pos, f"more than {_MAX_EXPR_DEPTH} nested "
+                                     "parentheses and minus signs")
+            if txt == "-":
+                e = -self._unary()
+            else:
+                e = self._expr()
+                kind, txt, pos = self._take()
+                if (kind, txt) != ("op", ")"):
+                    raise ExprError(pos, "expected ')'")
+            self.depth -= 1
             return e
         if kind == "num":
             self._take()
@@ -205,6 +202,7 @@ class _Parser:
 
 
 def _q_symbol(name: str, pos: int) -> QElement:
+    from .qfunctions import QElement, x_in_q
     m = re.fullmatch(r"q(\d+)", name)
     if m:
         k = int(m.group(1))
@@ -219,6 +217,8 @@ def _q_symbol(name: str, pos: int) -> QElement:
 
 
 def _p_symbol(name: str, pos: int) -> SparsePoly:
+    from .rings import SparsePoly, UPS
+    from .witt import hl_q_gen
     m = re.fullmatch(r"p([1-9]\d*)", name)
     if m:
         k = int(m.group(1))
@@ -244,22 +244,20 @@ def _parse_expr(src: str, const, symbol, what: str):
 
 
 def parse_q_expr(src: str, what: str = "expression") -> QElement:
+    from .qfunctions import QElement
     return _parse_expr(src, lambda c: QElement.monomial((), c),
                        _q_symbol, what)
 
 
 def parse_p_expr(src: str, what: str = "expression") -> SparsePoly:
+    from .rings import SparsePoly, UPS
     return _parse_expr(src, lambda c: SparsePoly.const(UPS, c),
                        _p_symbol, what)
 
 
 def _parse_partition(src: str) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(p.strip()) for p in src.split(","))
-    except ValueError:
-        raise click.UsageError(
-            f"partition {src!r} is not a comma-separated integer list"
-        ) from None
+    from .qfunctions import is_strict
+    parts = _parse_list(src, "PARTITION")
     if not parts or any(p < 1 for p in parts):
         raise click.UsageError("partition parts must be positive integers")
     parts = tuple(sorted(parts, reverse=True))
@@ -271,22 +269,14 @@ def _parse_partition(src: str) -> tuple[int, ...]:
     return parts
 
 
-def _parse_fraction_list(src: str, what: str) -> tuple[Fraction, ...]:
+def _parse_list(src: str, what: str, kind=int) -> tuple:
+    """A comma-separated list of ``kind`` (int or Fraction)."""
     try:
-        return tuple(Fraction(p.strip()) for p in src.split(","))
+        return tuple(kind(p.strip()) for p in src.split(","))
     except (ValueError, ZeroDivisionError):
-        raise click.UsageError(
-            f"{what} must be a comma-separated list of rationals "
-            f"(got {src!r})") from None
-
-
-def _parse_int_tuple(src: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p.strip()) for p in src.split(","))
-    except ValueError:
-        raise click.UsageError(
-            f"{what} must be a comma-separated integer list "
-            f"(got {src!r})") from None
+        noun = "integer list" if kind is int else "list of rationals"
+        raise click.UsageError(f"{what} must be a comma-separated {noun} "
+                               f"(got {src!r})") from None
 
 
 def _parse_scalar(src: str, what: str):
@@ -330,15 +320,6 @@ def _jsonify_value(v):
     return v if isinstance(v, float) else repr(v)
 
 
-def _emit_csv(header, rows) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
-    click.echo(buf.getvalue(), nl=False)
-
-
 def _emit(fmt: str, subcommand: str, *, pretty, obj, rows=None) -> None:
     if fmt == "json":
         click.echo(json.dumps(obj, indent=2, sort_keys=True))
@@ -347,7 +328,11 @@ def _emit(fmt: str, subcommand: str, *, pretty, obj, rows=None) -> None:
             raise click.UsageError(
                 f"'{subcommand}' has no CSV rendering; "
                 "use --format pretty or json")
-        _emit_csv(*rows)
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(rows[0])
+        w.writerows(rows[1])
+        click.echo(buf.getvalue(), nl=False)
     else:
         for line in pretty:
             click.echo(line)
@@ -369,9 +354,8 @@ class _Cli(click.Group):
             return super().invoke(ctx)
         except (DomainError, TruncationError, IncompatibleOperands) as e:
             raise click.UsageError(str(e)) from e
-        except click.ClickException:
-            raise
-        except (click.exceptions.Exit, click.exceptions.Abort):
+        except (click.ClickException, click.exceptions.Exit,
+                click.exceptions.Abort):
             raise
         except OSError as e:
             raise click.UsageError(str(e)) from e
@@ -427,6 +411,7 @@ def qreduce(obj, expr):
 def qfunction(obj, partition):
     """The orthogonal basis element indexed by a strict PARTITION
     ("3,2,1"), expanded in the square-free generators."""
+    from .qfunctions import classical_q
     lam = _parse_partition(partition)
     e = classical_q(lam)
     x = repr(e.to_x())
@@ -443,6 +428,7 @@ def inner_cmd(obj, left, right):
 
     Example: inner "q1" "q1" prints 2.
     """
+    from .qfunctions import inner_x
     a = parse_q_expr(left, "LEFT")
     b = parse_q_expr(right, "RIGHT")
     ax, bx = a.to_x(), b.to_x()
@@ -460,10 +446,12 @@ def inner_cmd(obj, left, right):
 # The cache lives in virasoro; these names are the CLI's timing points for
 # cache reads and writes (perfbench/spans.py wraps them).
 def _load_table(path: Path) -> IntersectionTable:
+    from .virasoro import load_table
     return load_table(path)
 
 
 def _save_table(path: Path, table: IntersectionTable) -> None:
+    from .virasoro import save_table
     save_table(path, table)
 
 
@@ -488,6 +476,9 @@ def intersection(obj, max_weight, no_cache, audit):
     recursion and persisted to a versioned JSON cache (atomic writes; a
     corrupt, mismatched or wrong-valued cache is regenerated with a
     warning)."""
+    from .virasoro import (IntersectionTable, correlator_weight,
+                           default_cache_path, genus_of, index_stats,
+                           required_degree, table_audit)
     _require(0 <= max_weight <= _MAX_TABLE_WEIGHT,
              f"--max-weight is capped at {_MAX_TABLE_WEIGHT} (desk scale)")
     need = required_degree(max_weight)
@@ -550,6 +541,8 @@ def virasoro_check(obj, m, n, max_weight):
     """Verify one bracket relation of the degree operators on the
     oscillator representation; prints the central term and exits
     nonzero if any monomial witnesses a failure."""
+    from .rings import SparsePoly, UX
+    from .virasoro import FockPoly, l_bracket_residual
     _require(abs(m) <= _MAX_MODE and abs(n) <= _MAX_MODE,
              f"mode indices are capped at |m|, |n| <= {_MAX_MODE}")
     _require(0 <= max_weight <= _MAX_FOCK_WEIGHT,
@@ -582,6 +575,8 @@ def virasoro_check(obj, m, n, max_weight):
 def _cleared_coefficient(k: int):
     """The T^(k+1) exponential coefficient with the inverted generator
     cleared against the square-free basis."""
+    from .grouplaw import to_q_over_q1
+    from .rings import SparsePoly, UX, dfact_odd
     return to_q_over_q1(dfact_odd(k) * SparsePoly.gen(UX, 0, -1)
                         * SparsePoly.gen(UX, k))
 
@@ -599,6 +594,7 @@ def _cleared_coefficient(k: int):
 def kw(obj, cpn, integrality, modp):
     """The genus attached to the square-free algebra: projective-space
     images, integrality, and mod-p vanishing of its exponential."""
+    from .grouplaw import projective_image, to_q_over_q1
     given = [x for x in (cpn, integrality, modp) if x is not None]
     _require(len(given) == 1,
              "pass exactly one of --cpn, --integrality, --modp")
@@ -666,6 +662,8 @@ def kw(obj, cpn, integrality, modp):
 def fgl(obj, exp_file):
     """Check the formal-group-law axioms of a user-supplied exponential
     and print its logarithm; exits nonzero if any axiom fails."""
+    from .grouplaw import GroupLaw
+    from .series import TruncatedSeries
     try:
         data = json.loads(exp_file.read_text())
         order, raw = data["order"], data["coefficients"]
@@ -677,7 +675,7 @@ def fgl(obj, exp_file):
                             "coefficient an integer or a rational string")
         coeffs = {int(k): Fraction(v) for k, v in raw.items()}
     except (ValueError, KeyError, TypeError, AttributeError,
-            ZeroDivisionError) as e:
+            ZeroDivisionError, RecursionError) as e:
         raise click.UsageError(f"invalid exponential file: {e}") from e
     _require(1 <= order <= _MAX_LAW_ORDER,
              f"law order is capped at {_MAX_LAW_ORDER} (desk scale)")
@@ -722,6 +720,7 @@ def fgl(obj, exp_file):
 def ml(obj, alpha, z_str, compare_asymptotic, n_terms):
     """Evaluate the interpolating exponential at one point, optionally
     cross-checked against its asymptotic expansion."""
+    from .analytic import ml_asymptotic, ml_exp
     a = _parse_scalar(alpha, "--alpha")
     z = _parse_complex(z_str)
     s = ml_exp(a, z)
@@ -772,6 +771,7 @@ def epsilon_table(obj, x_min, x_max, points, log_spacing, output):
     """CSV table of the scaled-window integral: both evaluation lanes and
     the honest error bound at each grid point (for external plotters).
     This command always emits CSV, whatever --format says."""
+    from .analytic import write_epsilon_csv
     _require(2 <= points <= _MAX_POINTS,
              f"--points must be in [2, {_MAX_POINTS}]")
     _require(x_min < x_max, "--x-min must be below --x-max")
@@ -805,7 +805,8 @@ def witt():
 
 
 def _witt_from(coeffs: str, order: int | None, what: str) -> WittVector:
-    cs = _parse_fraction_list(coeffs, what)
+    from .witt import WittVector
+    cs = _parse_list(coeffs, what, Fraction)
     n = order if order is not None else len(cs)
     _require(1 <= n <= _MAX_ORDER,
              f"truncation order must be in [1, {_MAX_ORDER}]")
@@ -820,6 +821,7 @@ def _witt_from(coeffs: str, order: int | None, what: str) -> WittVector:
 @click.pass_obj
 def witt_ghost(obj, coeffs, order):
     """Ghost coordinates of the vector COEFFS."""
+    from .witt import ghost
     h = _witt_from(coeffs, order, "COEFFS")
     g = ghost(h)
     _emit(obj["fmt"], "witt ghost",
@@ -838,6 +840,7 @@ def witt_ghost(obj, coeffs, order):
 @click.pass_obj
 def witt_mul_cmd(obj, left, right):
     """Product of two vectors in the diagonalized ring structure."""
+    from .witt import witt_mul
     a = _witt_from(left, None, "LEFT")
     b = _witt_from(right, None, "RIGHT")
     _require(a.order == b.order,
@@ -860,6 +863,7 @@ def witt_mul_cmd(obj, left, right):
 def witt_qcheck(obj, coeffs, order):
     """Square-free parity criterion h(-T) = h(T)^(-1); exits nonzero
     with the residual when it fails."""
+    from .witt import q_subfunctor_check
     h = _witt_from(coeffs, order, "COEFFS")
     w = q_subfunctor_check(h)
     pretty = [f"square-free parity: {'pass' if w.ok else 'FAIL'}"]
@@ -896,6 +900,7 @@ def voa_y_check(obj, b_str, bp_str, window, weight_cap, t_str):
     """Multiplicativity of the operator assignment on a product of two
     elements, compared entry by entry inside the window.  Exits nonzero
     on failure and on an inconclusive (contentless) window."""
+    from .witt import Y_multiplicativity_check
     _require(1 <= weight_cap <= _MAX_VOA_CAP,
              f"--weight-cap must be in [1, {_MAX_VOA_CAP}]")
     _require(window >= 0, "--window must be nonnegative")
@@ -930,6 +935,7 @@ def _mapped_monomials(b: SparsePoly, bp: SparsePoly, cap: int) -> int:
     operators the check forms (a product of more than cap operators
     vanishes through the cap).  b*b' is counted without cancellation, on
     coefficient-1 copies, and formed only if b and b' fit the ceiling."""
+    from .rings import SparsePoly, UPS
     low = [SparsePoly(UPS, {m: 1 for m in p.terms
                             if sum(e for _, e in m) <= cap}) for p in (b, bp)]
     n = len(low[0].terms) + len(low[1].terms)
@@ -945,6 +951,7 @@ def _mapped_monomials(b: SparsePoly, bp: SparsePoly, cap: int) -> int:
 @click.pass_obj
 def voa_table(obj, n, t_str, weight_cap):
     """Laurent-coefficient table of one power-sum operator."""
+    from .witt import vertex_Y_powersum, vertex_table_obj
     _require(1 <= weight_cap <= _MAX_VOA_CAP,
              f"--weight-cap must be in [1, {_MAX_VOA_CAP}]")
     t = _parse_scalar(t_str, "--t")
@@ -967,6 +974,7 @@ def voa_closure(obj, n, order, weight_cap):
     """Does the operator stay inside the root-of-unity quotient?  Prime
     orders are computed on an exact cyclotomic table; composite orders
     use the divisibility criterion directly."""
+    from .witt import closure_report
     _require(1 <= weight_cap <= _MAX_VOA_CAP,
              f"--weight-cap must be in [1, {_MAX_VOA_CAP}]")
     _require(order <= _MAX_ROOT_ORDER,
@@ -1001,13 +1009,17 @@ def voa_lattice(obj, gram_file, point_str, target_str, weight_cap):
     """Action of a lattice vertex operator on a sector vacuum: emits the
     Laurent table and runs the grading audit (exit nonzero on
     violations)."""
+    from .rings import SparsePoly
+    from .witt import (LatticeFockElement, lattice_action_obj, lattice_apply,
+                       lattice_from_json, lattice_grading_audit,
+                       lattice_universe, vertex_Y_lattice)
     _require(1 <= weight_cap <= _MAX_VOA_CAP,
              f"--weight-cap must be in [1, {_MAX_VOA_CAP}]")
     lattice = lattice_from_json(gram_file.read_bytes())
-    point = _parse_int_tuple(point_str, "--point")
+    point = _parse_list(point_str, "--point")
     _require(len(point) == lattice.rank,
              f"--point needs {lattice.rank} coordinates")
-    target = (_parse_int_tuple(target_str, "--target") if target_str
+    target = (_parse_list(target_str, "--target") if target_str
               else (0,) * lattice.rank)
     _require(len(target) == lattice.rank,
              f"--target needs {lattice.rank} coordinates")

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DomainError, IncompatibleOperands, TruncationError
 from .rings import SparsePoly, Sqrt2, UX, dfact_odd, double_factorial
@@ -566,7 +566,7 @@ def load_table(path: Path) -> IntersectionTable:
     try:
         table = IntersectionTable.loads(path.read_text())
     except (ValueError, KeyError, TypeError, AttributeError,
-            ZeroDivisionError, DomainError) as e:
+            ZeroDivisionError, DomainError, RecursionError) as e:
         problem = f"is unusable ({e})"
     else:
         faults = table_audit(table)
@@ -643,8 +643,7 @@ def tau_series(weight: int, table: IntersectionTable | None = None) -> FockPoly:
     return FockPoly(acc, weight)
 
 
-@dataclass(frozen=True)
-class AnnihilationReport:
+class AnnihilationReport(NamedTuple):
     n: int
     weight: int
     ok: bool

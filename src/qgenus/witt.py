@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, IncompatibleOperands, InvariantError
 from .rings import (
@@ -297,8 +297,7 @@ def pairing(a: WittVector, b: WittVector):
     return trace(witt_mul(a, b))
 
 
-@dataclass(frozen=True)
-class NondegeneracyWitness:
+class NondegeneracyWitness(NamedTuple):
     """Gram data for the pairing on a truncation.
 
     ``gram[i][j]`` is the lowest-order (degree-2) coefficient of
@@ -349,8 +348,7 @@ def nondegeneracy_witness(order: int = 6,
 # subfunctor criteria
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubfunctorWitness:
+class SubfunctorWitness(NamedTuple):
     ok: bool
     residual: TruncatedSeries   # h(-T) h(T) - 1
 
@@ -371,8 +369,7 @@ def q_subfunctor_check(h: WittVector) -> SubfunctorWitness:
     return SubfunctorWitness(residual.is_zero(), residual)
 
 
-@dataclass(frozen=True)
-class RootOfUnityWitness:
+class RootOfUnityWitness(NamedTuple):
     p: int
     ok: bool
     offending: tuple   # pairs (n, p_n) with p | n and p_n != 0
@@ -557,11 +554,19 @@ def vertex_Y_element(b: SparsePoly, t=0, *, weight_cap: int) -> VertexOperator:
             "vertex elements are polynomials in the power-sum universe")
     one = VertexOperator(TruncatedSeries.univariate(
         "g", {0: SparsePoly.const(SD, 1)}, weight_cap), "1")
+    gen = cache(lambda k: vertex_Y_powersum(k, t, weight_cap=weight_cap))
+    # each Y(p_k)^e is the power formed just below it times the power that
+    # bridges the gap; the lowest is formed by square-and-multiply
+    powers, below = {}, {}
+    for k, e in sorted({factor for m in b.terms for factor in m}):
+        d = e - below.get(k, 0)
+        gap = powers[k, d] if (k, d) in powers else power(gen(k), d, one)
+        powers[k, e] = powers[k, e - d] * gap if d < e else gap
+        below[k] = e
     # higher power sums first: their operators lack the s-modes below the
     # index, so the partial products stay smaller
-    gen = cache(lambda k: vertex_Y_powersum(k, t, weight_cap=weight_cap))
     op = ring_map(((reversed(m), c) for m, c in b.terms.items()),
-                  lambda k, e: power(gen(k), e, one), one)
+                  lambda k, e: powers[k, e], one)
     return VertexOperator(op.series, f"Y({b!r})")
 
 
@@ -722,8 +727,7 @@ def _bitable_log(g: Bitable, w_order: int, cap: int) -> Bitable:
     return {k: v for k, v in out.items() if v}
 
 
-@dataclass(frozen=True)
-class GammaLogWitness:
+class GammaLogWitness(NamedTuple):
     n: int
     ok: bool
     mismatches: tuple   # (z-exponent, table entry, gamma entry)
@@ -757,8 +761,7 @@ def gamma_log_check(n: int, *, weight_cap: int) -> GammaLogWitness:
 # multiplicativity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiplicativityWitness:
+class MultiplicativityWitness(NamedTuple):
     status: str            # "pass" | "fail" | "inconclusive"
     window: tuple[int, int]
     compared: int          # z-exponents with content seen in the window
@@ -806,8 +809,7 @@ def Y_multiplicativity_check(b: SparsePoly, bprime: SparsePoly, *,
 # root-of-unity closure bookkeeping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     """Does Y(p~_n) stay inside the quotient killing p~_m for order | m?
 
     The mode coefficient carries the factor 1 - t^{|m|}, which vanishes at
@@ -913,7 +915,7 @@ def lattice_from_json(text: str | bytes) -> LatticeData:
     """Accept either a bare matrix [[...]] or {"gram": [[...]]}."""
     try:
         obj = json.loads(text)
-    except ValueError as e:   # not JSON, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as e:  # not JSON, not UTF-8, too deep
         raise DomainError(f"Gram file is not JSON: {e}") from None
     if isinstance(obj, Mapping):
         obj = obj.get("gram")
@@ -967,8 +969,7 @@ class LatticeFockElement:
         return out
 
 
-@dataclass(frozen=True)
-class LatticeVertexOperator:
+class LatticeVertexOperator(NamedTuple):
     """Normally ordered operator attached to a lattice point.
 
     ``creation[c]`` is the z^c coefficient of

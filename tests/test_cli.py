@@ -80,6 +80,18 @@ class TestGrammar:
             _Parser(src, lambda c: QElement.monomial((), c), _q_symbol).parse()
         assert err.value.pos == pos
 
+    def test_nesting_up_to_the_depth_limit(self):
+        from qgenus.cli import _Parser, _q_symbol
+        assert parse_q_expr("(" * 100 + "q1" + ")" * 100) == QElement.gen(1)
+        assert parse_q_expr("-" * 100 + "q1") == QElement.gen(1)
+        # parentheses and minus signs count together
+        for src, pos in (("(" * 101 + "q1" + ")" * 101, 100),
+                         ("-" * 101 + "q1", 100), ("(-" * 51 + "q1", 100)):
+            with pytest.raises(ExprError, match="more than 100 nested") as err:
+                _Parser(src, lambda c: QElement.monomial((), c),
+                        _q_symbol).parse()
+            assert err.value.pos == pos
+
     def test_series_renderer(self):
         ts = TruncatedSeries.univariate(
             "T", {0: 1, 2: -1, 3: Fraction(1, 2)}, 4)
@@ -142,6 +154,17 @@ class TestAlgebraCommands:
     def test_unknown_format_is_a_usage_error(self):
         r = run("-f", "yaml", "qreduce", "q1")
         assert r.exit_code == 2 and r.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("qreduce", "(" * 250 + "q1" + ")" * 250),
+        ("qreduce", "--", "-" * 1200 + "q1"),
+        ("inner", "q1", "(" * 250 + "q1" + ")" * 250),
+        ("voa", "y-check", "--b", "-" * 1200 + "p1", "--bprime", "p1")],
+        ids=["parentheses", "minus-signs", "inner", "y-check"])
+    def test_deep_nesting_is_a_usage_error(self, argv):
+        r = run(*argv)
+        assert r.exit_code == 2, r.stderr
+        assert "more than 100 nested parentheses and minus signs" in r.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +238,17 @@ class TestIntersection:
         fresh = run("intersection", "--max-weight", "13", "--no-cache")
         assert r.stdout == fresh.stdout and "29/5760" in r.stdout
         assert json.loads(cache.read_text())["entries"]["0,0,1,1"] == "29/5760"
+
+    def test_deeply_nested_cache_regenerates(self, tmp_path):
+        cache = tmp_path / "table.json"
+        cache.write_text("[" * 100_000)
+        r = run("--cache-path", str(cache), "intersection",
+                "--max-weight", "3")
+        assert r.exit_code == 0, r.stderr
+        assert "unusable" in r.stderr and "regenerating" in r.stderr
+        assert r.stdout == run("intersection", "--max-weight", "3",
+                               "--no-cache").stdout
+        assert json.loads(cache.read_text())["format"] == "intersection-table/1"
 
     def test_version_mismatch_recomputes(self, tmp_path):
         cache = tmp_path / "table.json"
@@ -394,6 +428,15 @@ class TestFgl:
                     {"order": 3, "coefficients": ["1"]}):
             r = run("fgl", "--exp", self._write(tmp_path, obj))
             assert r.exit_code == 2, obj
+            assert "invalid exponential file" in r.stderr
+
+    def test_deeply_nested_files(self, tmp_path):
+        f = tmp_path / "exp.json"
+        for text in ("[" * 100_000,
+                     '{"order": 3, "coefficients": ' + "[" * 100_000 + "}"):
+            f.write_text(text)
+            r = run("fgl", "--exp", str(f))
+            assert r.exit_code == 2, r.stderr
             assert "invalid exponential file" in r.stderr
 
 
@@ -600,6 +643,13 @@ class TestVoaCommands:
             assert r.exit_code == 2, text
             assert r.stdout == ""
 
+    def test_lattice_gram_nested_too_deep(self, tmp_path):
+        gram = tmp_path / "gram.json"
+        gram.write_text("[" * 100_000)
+        r = run("voa", "lattice", "--gram", str(gram), "--point", "1")
+        assert r.exit_code == 2, r.stderr
+        assert "Gram file is not JSON" in r.stderr
+
 
 # ---------------------------------------------------------------------------
 # exit codes
@@ -640,12 +690,12 @@ class TestExitCodes:
         assert run("nonsense").exit_code == 2          # unknown subcommand
 
     def test_internal_error_is_three(self, monkeypatch):
-        import qgenus.cli as cli_mod
+        import qgenus.witt  # the command imports ghost from here when it runs
 
         def boom(*a, **k):
             raise RuntimeError("wired to fail")
 
-        monkeypatch.setattr(cli_mod, "ghost", boom)
+        monkeypatch.setattr(qgenus.witt, "ghost", boom)
         r = run("witt", "ghost", "1")
         assert r.exit_code == 3
         assert "internal error" in r.stderr
@@ -975,6 +1025,40 @@ def test_cap_ladder(argv, budget, digest, rss_mb, exit_code, tmp_path):
         assert peak < rss_mb, f"peak RSS {peak:.1f} MB, ceiling {rss_mb} MB"
         if digest is not None:
             assert hashlib.sha256(out).hexdigest() == digest, args
+
+
+# ---------------------------------------------------------------------------
+# each command loads only the library layers it runs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,layers", [
+    (("--help",), set()),
+    (("qreduce", "q1^2"), {"qfunctions", "rings", "series"}),
+    (("intersection", "--max-weight", "4"), {"rings", "virasoro"}),
+    (("virasoro-check", "--m", "1", "--n", "-1", "--max-weight", "2"),
+     {"rings", "virasoro"}),
+    (("kw", "--cpn", "1"), {"grouplaw", "qfunctions", "rings", "series"}),
+    (("fgl", "--exp", "@exp"), {"grouplaw", "qfunctions", "rings", "series"}),
+    (("ml", "--alpha", "0.5", "--z", "10i"), {"analytic"}),
+    (("epsilon-table", "--points", "2"), {"analytic"}),
+    (("witt", "ghost", "1,-2,0"), {"rings", "series", "witt"}),
+    (("voa", "y-check", "--b", "h2", "--bprime", "p1"),
+     {"rings", "series", "witt"}),
+    (("voa", "lattice", "--gram", "@gram", "--point", "1,0"),
+     {"rings", "series", "witt"})],
+    ids=["help", "qreduce", "intersection", "virasoro-check", "kw", "fgl",
+         "ml", "epsilon-table", "witt", "voa-y-check", "voa-lattice"])
+def test_each_command_loads_only_its_layers(argv, layers, tmp_path):
+    """A fresh ``-m qgenus.cli`` child, with ``-X importtime`` listing
+    every module it imports."""
+    p = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qgenus.cli",
+         *_ladder_argv(argv, tmp_path)],
+        capture_output=True, text=True, env=_ladder_env(tmp_path), timeout=60)
+    assert p.returncode == 0, p.stderr[-500:]
+    loaded = set(re.findall(r"\| +(qgenus\S*)$", p.stderr, flags=re.M))
+    assert loaded == {"qgenus", "qgenus.errors"} | {f"qgenus.{m}"
+                                                    for m in layers}
 
 
 # ---------------------------------------------------------------------------

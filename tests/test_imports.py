@@ -7,14 +7,22 @@ annotation, or is listed in ``__all__`` (the package's re-exports).  A
 module-level function or class counts as used when the package reads it
 outside its own definition, when a click decorator registers it, or when
 ``perfbench/`` or README.md names it; re-exports alone do not count.
+
+``import qgenus`` itself imports no module: each export loads on first use.
 """
 
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import qgenus
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qgenus"
@@ -36,6 +44,8 @@ KEEP = {
                                 "qgenus.__all__ beside q_subfunctor_check",
     "witt.gamma_log_check": "named oracle: the Gamma-log route for vertex "
                             "operators (ROADMAP aim 2)",
+    "__init__.__getattr__": "the PEP 562 hook: Python calls it for a "
+                            "package attribute not yet imported",
 }
 
 
@@ -135,3 +145,30 @@ def test_the_scan_sees_an_unused_function():
         "n": "from .m import C\ndef f(c: C):\n    return c\n",
     }
     assert _unreferenced(modules, "f is named in the README") == ["m.unused"]
+
+
+def test_importing_the_package_loads_no_module():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qgenus; print(sorted(m for m in "
+         "sys.modules if m.startswith('qgenus')))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert out.stdout == "['qgenus']\n"
+
+
+def test_every_export_is_the_object_its_module_defines():
+    for module, names in qgenus._EXPORTS.items():
+        owner = importlib.import_module(f"qgenus.{module}")
+        for name in names:
+            obj = getattr(qgenus, name)
+            assert obj is getattr(owner, name), name
+            assert getattr(obj, "__module__", owner.__name__) == owner.__name__
+    # a name listed under two modules would resolve to one of them only
+    assert len(qgenus.__all__) == 1 + sum(map(len, qgenus._EXPORTS.values()))
+    star: dict = {}
+    exec("from qgenus import *", star)
+    assert star.keys() - {"__builtins__"} == set(qgenus.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
+        qgenus.nonsense
+    from qgenus import cli  # a submodule, not an export
+    assert cli.__name__ == "qgenus.cli"
