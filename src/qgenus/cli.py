@@ -78,33 +78,22 @@ class ExprError(Exception):
         self.msg = msg
 
 
-_NUM = re.compile(r"\d+(?:/\d+)?")
-_NAME = re.compile(r"[A-Za-z]+\d*")
+_TOKEN = re.compile(r"(?P<op>[-+*^()])|(?P<num>\d+(?:/\d+)?)"
+                    r"|(?P<name>[A-Za-z]+\d*)")
 
 
 def _tokenize(src: str):
     toks = []
     i = 0
     while i < len(src):
-        ch = src[i]
-        if ch.isspace():
+        if src[i].isspace():
             i += 1
             continue
-        if ch in "+-*^()":
-            toks.append(("op", ch, i))
-            i += 1
-            continue
-        m = _NUM.match(src, i)
-        if m:
-            toks.append(("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _NAME.match(src, i)
-        if m:
-            toks.append(("name", m.group(), i))
-            i = m.end()
-            continue
-        raise ExprError(i, f"unexpected character {ch!r}")
+        m = _TOKEN.match(src, i)
+        if not m:
+            raise ExprError(i, f"unexpected character {src[i]!r}")
+        toks.append((m.lastgroup, m.group(), i))
+        i = m.end()
     toks.append(("end", "", len(src)))
     return toks
 
@@ -257,7 +246,12 @@ def parse_p_expr(src: str, what: str = "expression") -> SparsePoly:
 
 def _parse_partition(src: str) -> tuple[int, ...]:
     from .qfunctions import is_strict
-    parts = _parse_list(src, "PARTITION")
+    try:
+        parts = tuple(int(p.strip()) for p in src.split(","))
+    except ValueError:
+        raise click.UsageError(
+            f"partition {src!r} is not a comma-separated integer list"
+        ) from None
     if not parts or any(p < 1 for p in parts):
         raise click.UsageError("partition parts must be positive integers")
     parts = tuple(sorted(parts, reverse=True))
@@ -320,6 +314,15 @@ def _jsonify_value(v):
     return v if isinstance(v, float) else repr(v)
 
 
+def _emit_csv(header, rows) -> None:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow(row)
+    click.echo(buf.getvalue(), nl=False)
+
+
 def _emit(fmt: str, subcommand: str, *, pretty, obj, rows=None) -> None:
     if fmt == "json":
         click.echo(json.dumps(obj, indent=2, sort_keys=True))
@@ -328,11 +331,7 @@ def _emit(fmt: str, subcommand: str, *, pretty, obj, rows=None) -> None:
             raise click.UsageError(
                 f"'{subcommand}' has no CSV rendering; "
                 "use --format pretty or json")
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(rows[0])
-        w.writerows(rows[1])
-        click.echo(buf.getvalue(), nl=False)
+        _emit_csv(*rows)
     else:
         for line in pretty:
             click.echo(line)
@@ -354,8 +353,9 @@ class _Cli(click.Group):
             return super().invoke(ctx)
         except (DomainError, TruncationError, IncompatibleOperands) as e:
             raise click.UsageError(str(e)) from e
-        except (click.ClickException, click.exceptions.Exit,
-                click.exceptions.Abort):
+        except click.ClickException:
+            raise
+        except (click.exceptions.Exit, click.exceptions.Abort):
             raise
         except OSError as e:
             raise click.UsageError(str(e)) from e

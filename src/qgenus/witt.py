@@ -554,19 +554,11 @@ def vertex_Y_element(b: SparsePoly, t=0, *, weight_cap: int) -> VertexOperator:
             "vertex elements are polynomials in the power-sum universe")
     one = VertexOperator(TruncatedSeries.univariate(
         "g", {0: SparsePoly.const(SD, 1)}, weight_cap), "1")
-    gen = cache(lambda k: vertex_Y_powersum(k, t, weight_cap=weight_cap))
-    # each Y(p_k)^e is the power formed just below it times the power that
-    # bridges the gap; the lowest is formed by square-and-multiply
-    powers, below = {}, {}
-    for k, e in sorted({factor for m in b.terms for factor in m}):
-        d = e - below.get(k, 0)
-        gap = powers[k, d] if (k, d) in powers else power(gen(k), d, one)
-        powers[k, e] = powers[k, e - d] * gap if d < e else gap
-        below[k] = e
     # higher power sums first: their operators lack the s-modes below the
     # index, so the partial products stay smaller
+    gen = cache(lambda k: vertex_Y_powersum(k, t, weight_cap=weight_cap))
     op = ring_map(((reversed(m), c) for m, c in b.terms.items()),
-                  lambda k, e: powers[k, e], one)
+                  lambda k, e: power(gen(k), e, one), one)
     return VertexOperator(op.series, f"Y({b!r})")
 
 
