@@ -400,6 +400,8 @@ def epsilon_num(x, method: str = "auto", n_terms: int | None = None) -> FloatEva
     ``auto`` switches lanes at x = 30.
     """
     xf = float(x)
+    if xf != xf:  # every loop below would run forever on a NaN
+        raise DomainError("eps is undefined at NaN")
     if method == "auto":
         method = "series" if xf <= 30.0 else "asymptotic"
     if method == "series":

@@ -357,7 +357,7 @@ class _Cli(click.Group):
             raise
         except (click.exceptions.Exit, click.exceptions.Abort):
             raise
-        except OSError as e:
+        except (OSError, OverflowError) as e:  # a file; a float past range
             raise click.UsageError(str(e)) from e
         except Exception as e:  # anything else is a bug, not bad input
             raise _InternalError(

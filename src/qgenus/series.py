@@ -378,17 +378,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.vars, out, self.order - 1,
                                min(self.low - 1, 0) if self.low < 0 else 0)
 
-    def integrate(self) -> "TruncatedSeries":
-        if len(self.vars) != 1:
-            raise DomainError("integrate: univariate only")
-        out = {}
-        for (k,), c in self.coeffs.items():
-            if k == -1:
-                raise DomainError("integrate: 1/T term has no series integral")
-            out[(k + 1,)] = Fraction(1, k + 1) * c
-        return TruncatedSeries(self.vars, out, self.order + 1,
-                               min(self.low + 1, 0))
-
     def _scaled(self) -> tuple[list, int]:
         """([A_k D^(k-1)], D) for a_k = A_k / D: D clears every denominator
         if all a_k are rational, so exp and log run on integers; else 1."""

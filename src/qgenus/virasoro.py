@@ -248,10 +248,9 @@ class IntersectionTable:
         for s in range(self.complete_through + 1, s_max + 1):
             # a degree joins the table whole, or not at all if it raises
             built = []
-            for K in _valid_indices_of_degree(s):
-                key = _pack(K)
-                scaled[key] = v = _constraint(K, key, scaled)
-                built.append((K, Fraction(v, _scale(K))))
+            for K, key, g3, f in _valid_indices_of_degree(s):
+                scaled[key] = v = _constraint(K, key, g3, scaled)
+                built.append((K, Fraction(v, f)))
             self.values.update(built)
             self.complete_through = s
         return self
@@ -259,8 +258,8 @@ class IntersectionTable:
     def _constraint_value(self, T: MultiIndex) -> Fraction:
         """The entry for T re-derived from its constraint, with every input
         read from ``values``."""
-        return Fraction(_constraint(T, _pack(T), _ScaledEntries(self.values)),
-                        _scale(T))
+        return Fraction(_constraint(T, _pack(T), 3 * genus_of(T),
+                                    _ScaledEntries(self.values)), _scale(T))
 
     # -- serialization -------------------------------------------------------
     def to_obj(self) -> dict:
@@ -294,35 +293,35 @@ class IntersectionTable:
 
 def _valid_indices_of_degree(s: int):
     """All multi-indices satisfying the dimension constraint with total
-    degree s, in a deterministic order."""
+    degree s, in a deterministic order, as (K, packed key, 3 * genus,
+    :func:`_scale` of K)."""
+    # per partition of s: (K_1, K_2, ...), its length, its packed key and
+    # prod (2p+1)!! over its parts p; a genus then fixes K_0
+    shapes = []
+    for parts in _partitions(s, s):
+        K = [0] * (parts[0] + 1 if parts else 1)
+        f = 1
+        for p in parts:
+            K[p] += 1
+            f *= double_factorial(2 * p + 1)
+        shapes.append((tuple(K[1:]), len(parts), _pack(K), f))
     out = []
     g = 0
-    while True:
-        n = s - 3 * g + 3
-        if n < 1:
-            break
-        for parts in _partitions_at_most(s, n):
-            K = [0] * (max(parts) + 1 if parts else 1)
-            for p in parts:
-                K[p] += 1
-            K[0] += n - len(parts)
-            out.append(canon_index(K))
+    while (n := s - 3 * g + 3) >= 1:
+        out += [((n - k,) + tail, key + n - k, 3 * g, f << (4 * g + n - 2))
+                for tail, k, key, f in shapes if k <= n]
         g += 1
     return out
 
 
-def _partitions_at_most(s: int, n_parts: int):
-    """Partitions of s into at most n_parts parts (parts >= 1)."""
-    def rec(rem, cap, slots):
-        if rem == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        for head in range(min(rem, cap), 0, -1):
-            for tail in rec(rem - head, head, slots - 1):
-                yield (head,) + tail
-    yield from rec(s, s, n_parts)
+def _partitions(rem: int, cap: int):
+    """Partitions of rem into parts <= cap, largest part first, in
+    decreasing lexicographic order."""
+    if rem == 0:
+        yield ()
+    for head in range(min(rem, cap), 0, -1):
+        for tail in _partitions(rem - head, head):
+            yield (head,) + tail
 
 
 # The recursion runs on packed keys and scaled integer values.  A key holds
@@ -395,10 +394,12 @@ class _ScaledEntries(dict):
         return N
 
 
-def _constraint(T: MultiIndex, key: int, N: Mapping[int, int]) -> int:
-    """The scaled entry N(T) from the constraint indexed nc = d - 1 (d the
-    top degree of T), reading lower-degree entries from N.  With
-    base = T - e_d, h_j = 1 for j < jp and 2 for j = jp:
+def _constraint(T: MultiIndex, key: int, g3: int,
+                N: Mapping[int, int]) -> int:
+    """The scaled entry N(T), g3 = 3 * genus, from the constraint indexed
+    nc = d - 1 that removes the lowest positive degree d of T (0 only for
+    <tau_0^3>): the dilaton relation when T_1 > 0, else the fewest j-terms.
+    With base = T - e_d, h_j = 1 for j < jp and 2 for j = jp:
 
         N(T) = 2 sum_m base_m (2m+1) N(base - e_m + e_(m+nc))
              + sum_(j+jp=nc-1, j<=jp) (2/h_j) [4 N(base + e_j + e_jp)
@@ -407,13 +408,11 @@ def _constraint(T: MultiIndex, key: int, N: Mapping[int, int]) -> int:
 
     Every key looked up is a valid entry of lower degree (the dimension
     filter on the splittings guarantees it)."""
-    d = len(T) - 1
+    d = next((i for i in range(1, len(T)) if T[i]), 0)
     nc = d - 1 if d else -1
     base = list(T)
     base[d] -= 1
     key -= _UNIT[d]
-    n, s = index_stats(T)
-    g3 = s - n + 3                  # 3 * genus
     # transport sum: one insertion moves up by nc
     total = 0
     for m, cnt in enumerate(base):
@@ -519,7 +518,7 @@ def table_audit(table: IntersectionTable) -> list[str]:
     values = table.values
     count = 0
     for s in range(table.complete_through + 1):
-        for K in _valid_indices_of_degree(s):
+        for K, *_ in _valid_indices_of_degree(s):
             if K not in values:
                 return [f"entry {K} is missing"]
             count += 1

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from qgenus.cli import ExprError, cli, parse_p_expr, parse_q_expr
 from qgenus.qfunctions import QElement
@@ -483,6 +484,13 @@ class TestMl:
                 "--n-terms", n_terms)
         assert r.exit_code == 2 and "leaves the double range" in r.stderr
 
+    @pytest.mark.parametrize("alpha,z", [("0.5", "30"), ("0.01", "3"),
+                                         ("1e-300", "3i")])
+    def test_value_past_the_double_range_exits_two(self, alpha, z):
+        # each exited 3 with an internal OverflowError
+        r = run("ml", "--alpha", alpha, "--z", z)
+        assert r.exit_code == 2 and "internal error" not in r.stderr
+
     def test_bad_inputs(self):
         assert run("ml", "--alpha", "0.75", "--z", "3+4i").exit_code == 2
         assert run("ml", "--alpha", "x", "--z", "1").exit_code == 2
@@ -515,6 +523,15 @@ class TestEpsilonTable:
         assert run("epsilon-table", "--x-min", "5", "--x-max", "1").exit_code == 2
         assert run("epsilon-table", "--points", "1").exit_code == 2
         assert run("epsilon-table", "--x-min", "-1", "--x-max", "1").exit_code == 2
+
+    @pytest.mark.parametrize("x_min,x_max", [("-inf", "inf"), ("0", "inf"),
+                                             ("-1e308", "1e308")])
+    def test_nan_grid_point_exits_two(self, x_min, x_max):
+        # the linear step overflows, so the grid holds a NaN, on which the
+        # series loop never ended
+        r = run("epsilon-table", "--x-min", x_min, "--x-max", x_max,
+                "--points", "3", "--linear")
+        assert r.exit_code == 2 and "undefined at NaN" in r.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +719,195 @@ class TestExitCodes:
 
     def test_check_failure_is_one(self):
         assert run("witt", "qcheck", "1,1").exit_code == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzz: argv for every subcommand drawn from its option grammar
+# ---------------------------------------------------------------------------
+
+def _mostly(usual, edge):
+    """``usual`` seven times in eight, else ``edge``."""
+    return st.tuples(st.integers(0, 7), usual, edge).map(
+        lambda t: t[2] if t[0] == 3 else t[1])
+
+
+def _int_opt(lo, hi):
+    """An integer option: mostly a value in [lo, hi], else one past a cap,
+    huge, negative or not an integer."""
+    return _mostly(st.integers(lo, hi).map(str), st.sampled_from(
+        ["-1", "65", "10001", "9" * 30, "1.5", "x", ""]))
+
+
+_RATIONAL = _mostly(
+    st.fractions(-3, 3, max_denominator=6).map(str),
+    st.sampled_from(["0.5", "1e400", "nan", "1/0", "x", ""]))
+
+# deep nesting: the depth limit itself, and inputs that once exited 3
+_DEEP_EXPRS = ["(" * 100 + "1" + ")" * 100, "(" * 101 + "1" + ")" * 101,
+               "(" * 250 + "1" + ")" * 250, "-" * 1200 + "1"]
+_DEEP_JSON = ["[" * 100_000, '{"order": 3, "coefficients": ' + "[" * 100_000,
+              "[" * 500 + "]" * 500]
+
+
+def _expr(symbols):
+    """Expressions of the mini-grammar over ``symbols``, plus malformed
+    and deeply nested ones."""
+    atom = st.sampled_from(symbols + ["0", "3", "1/2", "7/3"])
+    tree = st.recursive(atom, lambda e: st.one_of(
+        st.tuples(e, st.sampled_from(["+", "-", "*", ""]), e).map("".join),
+        e.map("({})".format), e.map("-{}".format),
+        st.tuples(e, st.integers(0, 2)).map(lambda t: f"({t[0]})^{t[1]}")),
+        max_leaves=4)
+    edge = st.sampled_from(_DEEP_EXPRS + [
+        "", "q1 +", "q1 $ q2", "1/0", "q29", "x14", "p13", "h13",
+        "(q1+q2)^15", "q1^1/2", "q1^-1", "((q1)"])
+    return _mostly(st.one_of(tree, tree.map(
+        lambda s: s.replace("1", symbols[0]))), edge)
+
+
+_Q_EXPR = _expr(["q0", "q1", "q2", "q4", "x0", "x2"])
+_P_EXPR = _expr(["p1", "p2", "p4", "h1", "h3"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+    | st.text(max_size=4),
+    lambda c: st.lists(c, max_size=3)
+    | st.dictionaries(st.text(max_size=3), c, max_size=3),
+    max_leaves=8).map(json.dumps)
+
+
+def _int_list(lo, hi, max_size):
+    return _mostly(
+        st.lists(st.integers(lo, hi), min_size=1, max_size=max_size).map(
+            lambda xs: ",".join(map(str, xs))),
+        st.sampled_from(["", "1,,2", "a", "1.5"]))
+
+
+def _opts(required=(), **strategies):
+    """Each named option in a drawn order: a required one is left out one
+    time in ten, any other one time in two."""
+    pairs = [st.tuples(st.integers(0, 9 if o in required else 1), s).map(
+        lambda t, o=o: (o, t[1]) if t[0] else ())
+        for o, s in strategies.items()]
+    return st.tuples(*pairs).flatmap(lambda ps: st.permutations(
+        [p for p in ps if p])).map(lambda ps: [x for p in ps for x in p])
+
+
+def _flags(*names):
+    return st.lists(st.sampled_from(names), unique=True)
+
+
+def _command():
+    """(argv after the group options, {file name: text or None} to write
+    or delete first); "{name}" in argv stands for a file's path."""
+    law = st.fixed_dictionaries({
+        "order": _mostly(st.integers(1, 4),
+                         st.sampled_from([-1, 0, 11, "3", None])),
+        "coefficients": st.tuples(
+            _mostly(st.just(1), _RATIONAL),
+            st.dictionaries(_mostly(st.integers(2, 4), st.integers(-1, 5)),
+                            st.one_of(st.integers(-3, 3), _RATIONAL),
+                            max_size=3)).map(
+            lambda t: {str(k): v for k, v in {1: t[0], **t[1]}.items()})}
+    ).map(json.dumps)
+    gram = _mostly(
+        st.sampled_from([[[2]], [[4]], [[2, 1], [1, 2]], [[2, 0], [0, 4]]]),
+        st.integers(1, 2).flatmap(lambda r: st.lists(
+            st.lists(st.integers(-1, 4), min_size=r, max_size=r),
+            min_size=r, max_size=r)))
+    gram = st.one_of(gram, gram.map(lambda g: {"gram": g})).map(json.dumps)
+    cache = st.one_of(
+        st.none(),
+        st.integers(0, 4).map(
+            lambda d: IntersectionTable().build_through(d).dumps()),
+        st.integers(0, 4).map(lambda d: IntersectionTable().build_through(
+            d).dumps().replace('"1/24"', '"1/25"')), _JSON,
+        st.sampled_from(_DEEP_JSON))
+    alpha = _mostly(
+        st.fractions(0, 2, max_denominator=8).map(str),
+        st.sampled_from(["0.5", "1", "1.99", "0", "-1", "1e-300", "nan",
+                         "inf", "x"]))
+    z = _mostly(
+        st.complex_numbers(max_magnitude=5, allow_nan=False).map(
+            lambda z: f"{z.real!r}{z.imag:+}i"),
+        st.sampled_from(["10i", "3+4i", "-5", "30", "1e400", "nan", "i",
+                         "x", ""]))
+    x = st.one_of(st.floats(-50, 1e6).map(repr), st.floats().map(repr))
+    kw = {"--cpn": _int_opt(0, 6), "--integrality": _int_opt(0, 12),
+          "--modp": _int_opt(0, 15)}
+    files = lambda s: _mostly(s, st.one_of(_JSON,
+                                           st.sampled_from(_DEEP_JSON)))
+    return st.one_of(
+        _Q_EXPR.map(lambda e: (["qreduce", "--", e], {})),
+        _int_list(-1, 7, 4).map(lambda p: (["qfunction", p], {})),
+        st.tuples(_Q_EXPR, _Q_EXPR).map(
+            lambda t: (["inner", "--", *t], {})),
+        st.tuples(_opts({"--max-weight"}, **{"--max-weight": _int_opt(0, 13)}),
+                  _flags("--no-cache", "--audit"), cache).map(
+            lambda t: (["intersection", *t[0], *t[1]], {"cache": t[2]})),
+        _opts({"--m", "--n"}, **{"--m": _int_opt(-6, 6),
+                                 "--n": _int_opt(-6, 6),
+                                 "--max-weight": _int_opt(0, 10)}).map(
+            lambda o: (["virasoro-check", *o], {})),
+        st.one_of(*[_opts({o}, **{o: v}) for o, v in kw.items()],
+                  _opts(**kw)).map(lambda o: (["kw", *o], {})),
+        files(law).map(lambda f: (["fgl", "--exp", "{law}"], {"law": f})),
+        st.tuples(_opts({"--alpha", "--z"}, **{
+            "--alpha": alpha, "--z": z, "--n-terms": _int_opt(0, 60)}),
+            _flags("--compare-asymptotic")).map(
+            lambda t: (["ml", *t[0], *t[1]], {})),
+        st.tuples(_opts(**{
+            "--x-min": x, "--x-max": x, "--points": _int_opt(2, 12),
+            "--output": st.sampled_from(["{out}", "{dir}", "{dir}/no/out"])}),
+            _flags("--log", "--linear")).map(
+            lambda t: (["epsilon-table", *t[0], *t[1]], {})),
+        st.tuples(st.sampled_from(["ghost", "qcheck"]),
+                  st.lists(_RATIONAL, min_size=1, max_size=6),
+                  _opts(**{"--order": _int_opt(1, 8)})).map(
+            lambda t: (["witt", t[0], ",".join(t[1]), *t[2]], {})),
+        st.tuples(st.lists(_RATIONAL, min_size=1, max_size=4),
+                  st.lists(_RATIONAL, min_size=1, max_size=4)).map(
+            lambda t: (["witt", "mul", ",".join(t[0]), ",".join(t[1])], {})),
+        _opts({"--b", "--bprime"}, **{
+            "--b": _P_EXPR, "--bprime": _P_EXPR, "--window": _int_opt(0, 8),
+            "--weight-cap": _int_opt(1, 6), "--t": _RATIONAL}).map(
+            lambda o: (["voa", "y-check", *o], {})),
+        _opts({"--n"}, **{"--n": _int_opt(1, 6), "--t": _RATIONAL,
+                          "--weight-cap": _int_opt(1, 6)}).map(
+            lambda o: (["voa", "table", *o], {})),
+        _opts({"--n", "--order"}, **{
+            "--n": _int_opt(1, 6), "--order": _int_opt(2, 12),
+            "--weight-cap": _int_opt(1, 8)}).map(
+            lambda o: (["voa", "closure", *o], {})),
+        st.tuples(files(gram), _opts({"--point"}, **{
+            "--point": _int_list(-2, 2, 2), "--target": _int_list(-2, 2, 2),
+            "--weight-cap": _int_opt(1, 4)})).map(
+            lambda t: (["voa", "lattice", "--gram", "{gram}", *t[1]],
+                       {"gram": t[0]})))
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.lists(_mostly(st.sampled_from([["-f", "json"], ["-f", "csv"],
+                                         ["-v"]]), st.just(["-f", "xml"])),
+                max_size=2), _command())
+def test_fuzz_exits_zero_one_or_two(tmp_path_factory, group_opts, command):
+    # seeded by the test's name (derandomize), so a failure repeats
+    tmp = tmp_path_factory.getbasetemp() / "fuzz"
+    tmp.mkdir(exist_ok=True)
+    argv, texts = command
+    for name, text in texts.items():
+        path = tmp / name
+        if text is None:
+            path.unlink(missing_ok=True)
+        else:
+            path.write_text(text)
+    paths = {"law": tmp / "law", "gram": tmp / "gram", "out": tmp / "out",
+             "dir": tmp}
+    argv = [a.format(**paths) if a.startswith("{") else a for a in argv]
+    flat = [x for opt in group_opts for x in opt]
+    r = run(*flat, "--cache-path", str(tmp / "cache"), *argv)
+    assert r.exit_code in (0, 1, 2), (argv, r.stderr)
+    assert r.exception is None or isinstance(r.exception, SystemExit), argv
+    assert "internal error" not in r.stderr, argv
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ function and class it defines is used outside the tests.
 Static scans with the standard ``ast`` module.  A name bound by an import
 counts as used when it is read anywhere in the module, appears in a string
 annotation, or is listed in ``__all__`` (the package's re-exports).  A
-module-level function or class counts as used when the package reads it
-outside its own definition, when a click decorator registers it, or when
-``perfbench/`` or README.md names it; re-exports alone do not count.
+module-level function or class, or a method other than a dunder, counts
+as used when the package reads its name outside its own definition, when
+a click decorator registers it, or when ``perfbench/`` or README.md names
+it; re-exports alone do not count.
 
 ``import qgenus`` itself imports no module: each export loads on first use.
 """
@@ -17,7 +18,6 @@ import os
 import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,7 +27,7 @@ import qgenus
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qgenus"
 
-#: Module-level names that only tests call, kept in the package on purpose.
+#: Names that only tests call, kept in the package on purpose.
 KEEP = {
     "analytic.sin_half": "public float-lane function in qgenus.__all__; "
                          "tests/test_analytic.py checks it against scipy",
@@ -36,6 +36,8 @@ KEEP = {
                                        "(tests/test_acceptance.py)",
     "virasoro.alpha_apply": "acceptance gate (tests/test_acceptance.py)",
     "witt.nondegeneracy_witness": "acceptance gate (tests/test_acceptance.py)",
+    "witt.NondegeneracyWitness.directions_paired":
+        "acceptance gate (tests/test_acceptance.py)",
     "witt.witt_add": "acceptance gate (tests/test_acceptance.py)",
     "witt.witt_unit": "acceptance gate (tests/test_acceptance.py)",
     "witt.witt_neg": "the Witt group inverse, in qgenus.__all__ beside "
@@ -46,6 +48,7 @@ KEEP = {
                             "operators (ROADMAP aim 2)",
     "__init__.__getattr__": "the PEP 562 hook: Python calls it for a "
                             "package attribute not yet imported",
+    "cli._Cli.invoke": "overrides click.Group.invoke, which click calls",
 }
 
 
@@ -102,24 +105,45 @@ def _registered(node: ast.AST) -> bool:
 
 
 def _unreferenced(modules: dict[str, str], elsewhere: str) -> list[str]:
-    """``module.name`` of every module-level function and class in
-    ``modules`` (name -> source) that no other top-level statement of the
-    package reads, no click decorator registers and ``elsewhere`` (text)
-    does not name."""
+    """``module.name`` of every module-level function and class, and
+    ``module.Class.name`` of every method other than a dunder, in
+    ``modules`` (name -> source) that no other part of the package reads,
+    no click decorator registers and ``elsewhere`` (text) does not name.
+    The parts are the top-level statements, with each class split into its
+    methods and the rest of its body."""
     trees = {name: ast.parse(src) for name, src in modules.items()}
-    reads = Counter()  # name -> top-level statements reading it
+    parts = []  # (the definitions a part lies in, the names it reads)
     for tree in trees.values():
         for stmt in tree.body:
-            reads.update(_names_read(stmt))
+            if not isinstance(stmt, ast.ClassDef):
+                parts.append(((stmt,), _names_read(stmt)))
+                continue
+            rest = set()
+            for node in [*stmt.bases, *stmt.keywords, *stmt.decorator_list,
+                         *stmt.body]:
+                if isinstance(node, ast.FunctionDef):
+                    parts.append(((stmt, node), _names_read(node)))
+                else:
+                    rest |= _names_read(node)
+            parts.append(((stmt,), rest))
     words = set(re.findall(r"\w+", elsewhere))
+
+    def unused(node) -> bool:
+        return not (any(node.name in names for owners, names in parts
+                        if node not in owners)
+                    or _registered(node) or node.name in words)
+
     out = []
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            outside = reads[node.name] - (node.name in _names_read(node))
-            if not (outside or _registered(node) or node.name in words):
+            if unused(node):
                 out.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                out += [f"{module}.{node.name}.{m.name}" for m in node.body
+                        if isinstance(m, ast.FunctionDef)
+                        and not re.fullmatch(r"__\w+__", m.name) and unused(m)]
     return sorted(out)
 
 
@@ -140,11 +164,15 @@ def test_the_scan_sees_an_unused_function():
               "def used():\n    return 1\n"
               "def unused(n):\n    return unused(n - 1) if n else used\n"
               "class C:\n    def make(self):\n        return C()\n"
+              "    def helper(self):\n        return self.inner()\n"
+              "    def inner(self):\n        return self.inner\n"
+              "    def __len__(self):\n        return 0\n"
               "@click.command()\ndef cmd():\n    pass\n"
               "X = used()\n"),
-        "n": "from .m import C\ndef f(c: C):\n    return c\n",
+        "n": "from .m import C\ndef f(c: C):\n    return c.make()\n",
     }
-    assert _unreferenced(modules, "f is named in the README") == ["m.unused"]
+    assert _unreferenced(modules, "f is named in the README") == [
+        "m.C.helper", "m.unused"]
 
 
 def test_importing_the_package_loads_no_module():

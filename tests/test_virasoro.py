@@ -191,7 +191,9 @@ def test_invalid_entries_are_rejected(table):
 # sha256 of IntersectionTable().build_through(d).dumps(); any change to an
 # entry or to the serialization shows here.
 FROZEN_DUMPS_SHA256 = {
+    10: "a36a028135428dfed3c23c29ec74ca4e35d2ffaa4e2f23aaa13b50a393fd7d4d",
     11: "3e2c0e81050ca1107f3739fe662e68191f91190971a0eff9e0a1dcd5488a9ae1",
+    12: "e9259dc2c21d84c9ca881af6b0f69a23cc72e2702c4b0dbe455b52e5d1aab6bd",
     13: "a8e6c12ab6a727e4babc4e59a28287d9cb27364f862945f0e345d640f4e618b4",
     14: "18cfb416d9a9b56c62a2499d6ffd26ce23cc6fda9fdbb67ff764b601ce933144",
     16: "10a1a16ae9a8ae68a89e5c04c13d2adcdb7ac2f63b4f74aaa67469f5e039bbad",
@@ -262,8 +264,10 @@ def _ref_splittings(K, lo, hi):
     return groups
 
 
-def _ref_constraint_sum(values, T):
-    d = len(T) - 1
+def _ref_constraint_sum(values, T, d=None):
+    """The entry T from the constraint that removes one insertion of
+    degree d (default: the top degree, the route the kernel once took)."""
+    d = len(T) - 1 if d is None else d
     nc = d - 1 if d else -1
     base = list(T)
     base[d] -= 1
@@ -326,6 +330,17 @@ def test_constraint_value_matches_fraction_reference(table13):
         assert table13._constraint_value(K) == want == table13.values[K], K
 
 
+def test_every_constraint_gives_the_same_table(table13):
+    # each L_(d-1) with T_d > 0 determines T; the build takes one of them
+    checked = 0
+    for K, v in table13.entries():
+        for d in range(1, len(K)):
+            if K[d]:
+                assert _ref_constraint_sum(table13.values, K, d) == v, (K, d)
+                checked += 1
+    assert checked > 2 * len(table13.values)
+
+
 def test_continued_build_equals_fresh_build(table13):
     partial = IntersectionTable().build_through(7)
     assert partial.build_through(13).dumps() == table13.dumps()
@@ -348,16 +363,17 @@ def test_key_field_overflow_raises_at_the_boundary():
 
 
 def test_non_dyadic_value_is_rejected_not_truncated():
-    # 2^8 * 5!! * 7!! * 29/5761 is not an integer, so no true intersection
-    # number can be 29/5761 at <tau_2 tau_3>_2
+    # 2^11 * 15!! / (82944 * 17) is not an integer, so no true intersection
+    # number can be 1/(82944 * 17) at <tau_7>_3 (the true one is 1/82944);
+    # <tau_0 tau_8>_3 of degree 8 reads it
     bad = IntersectionTable.loads(IntersectionTable().build_through(7).dumps())
-    bad.values[(0, 0, 1, 1)] = F(29, 5761)
+    bad.values[(0,) * 7 + (1,)] = F(1, 82944 * 17)
     size = len(bad.values)
     with pytest.raises(DomainError, match="not an intersection number"):
         bad.build_through(9)
     assert (bad.complete_through, len(bad.values)) == (7, size)
     with pytest.raises(DomainError, match="not an intersection number"):
-        bad._constraint_value((0, 0, 1, 0, 0, 0, 1))
+        bad._constraint_value((1,) + (0,) * 7 + (1,))
     faults = table_audit(bad)
     assert faults and all("not an intersection number" in f for f in faults)
 
