@@ -118,7 +118,12 @@ def _ml_series(af: float, zc: complex, max_terms: int) -> FloatEval:
     if zc == 0:
         return FloatEval(1.0, 0.0, "series", 1)
     acc = _Kahan()
-    hump_end = abs(zc) ** (1.0 / af) + 8.0
+    try:
+        hump_end = abs(zc) ** (1.0 / af) + 8.0
+    except OverflowError:
+        raise DomainError(
+            f"alpha={af} is too small at |z|={abs(zc)}: the series peaks "
+            f"past the double range") from None
     n = 0
     term = _ml_term(zc, af, 0)
     while True:

@@ -936,11 +936,11 @@ def _mapped_monomials(b: SparsePoly, bp: SparsePoly, cap: int) -> int:
     vanishes through the cap).  b*b' is counted without cancellation, on
     coefficient-1 copies, and formed only if b and b' fit the ceiling."""
     from .rings import SparsePoly, UPS
-    low = [SparsePoly(UPS, {m: 1 for m in p.terms
+    low = [SparsePoly(UPS, {m: 1 for m in p.monomials()
                             if sum(e for _, e in m) <= cap}) for p in (b, bp)]
     n = len(low[0].terms) + len(low[1].terms)
     prod = low[0] * low[1] if n <= _MAX_VOA_MONOMIALS else low[0] * 0
-    return n + sum(sum(e for _, e in m) <= cap for m in prod.terms)
+    return n + sum(sum(e for _, e in m) <= cap for m in prod.monomials())
 
 
 @voa.command("table")

@@ -145,7 +145,7 @@ def to_q_over_q1(p: SparsePoly) -> tuple[int, QElement]:
     if p.universe != UX:
         raise DomainError("expected the x-universe")
     a = 0
-    for mono in p.terms:
+    for mono in p.monomials():
         for k, e in mono:
             if e < 0:
                 if k != 0:

@@ -369,7 +369,7 @@ def xpoly_to_q(p: SparsePoly) -> QElement:
             raise DomainError("negative x-powers have no polynomial preimage")
         return x_in_q(k) ** e
 
-    return ring_map(p.terms.items(), image, QElement.one())
+    return ring_map(p.monomials().items(), image, QElement.one())
 
 
 # ------------------------------------------------------------ inner product
@@ -379,9 +379,9 @@ def inner_x(p1: SparsePoly, p2: SparsePoly) -> Fraction:
     <x^alpha, x^alpha> = prod_k ((2k+1)/2)^(alpha_k) alpha_k!."""
     if p1.universe != UX or p2.universe != UX:
         raise IncompatibleOperands("inner product lives in the x-universe")
-    total = Fraction(0)
-    for mono, c1 in p1.terms.items():
-        c2 = p2.terms.get(mono)
+    total, m2 = Fraction(0), p2.monomials()
+    for mono, c1 in p1.monomials().items():
+        c2 = m2.get(mono)
         if not c2:
             continue
         norm = Fraction(1)

@@ -342,6 +342,10 @@ class CycloRational:
         return any(self.coeffs)
 
     def __eq__(self, other):
+        if isinstance(other, CycloRational) and other.p != self.p:
+            # fields of different orders meet only in Q
+            return (not any(self.coeffs[1:]) and not any(other.coeffs[1:])
+                    and self.coeffs[0] == other.coeffs[0])
         o = self._check(other)
         if o is NotImplemented:
             return NotImplemented
@@ -373,40 +377,50 @@ def _never_nilpotent(key: Key) -> None:
     return None
 
 
-class MonomialPacking(dict):
-    """A universe's packed exponent vectors (Monagan and Pearce, CASC 2007):
-    factor (key, e) -> e << (offset of the key's field), summed over a
-    monomial.  A key takes the next ``width``-bit field on first use; the
-    width grows to keep each |e| < 2**(width - 2), so two packed monomials
-    plus ``bias`` have every field in [0, 2**width)."""
+# A monomial's key is one int, the sum of e * 2**(_W * i) over its factors
+# g^e, where i is g's slot, so a product of monomials adds their keys
+# (Monagan and Pearce, CASC 2007).  A universe's name hands out slots in
+# order of first use, so a new slot never changes a key; as that order
+# depends on what the process ran before, displayed orders decode first.
+_W = 64
+_HALF = 1 << _W - 1      # every |exponent| stays below this
+_FIELD = (1 << _W) - 1
+_SLOTS: dict[str, dict[Key, int]] = {}
 
-    __slots__ = ("width", "slots", "order", "bias")
 
-    def __init__(self):
-        super().__init__()
-        self.width, self.slots, self.order, self.bias = 2, {}, [], 0
+def _encode(slots: dict[Key, int], factors: Iterable[tuple[Key, int]]) -> int:
+    return sum(e << _W * slots.setdefault(k, len(slots))
+               for k, e in factors if e)
 
-    def __missing__(self, factor: tuple[Key, int]) -> int:
-        key, e = factor
-        if key not in self.slots or abs(e) >> self.width - 2:
-            self.slots.setdefault(key, len(self.slots))
-            if abs(e) >> self.width - 2:
-                self.width = abs(e).bit_length() + 2
-                self.clear()
-            w = self.width
-            self.order = sorted((k, w * i) for k, i in self.slots.items())
-            self.bias = sum(1 << w - 1 + off for _, off in self.order)
-        self[factor] = e << self.width * self.slots[key]
-        return self[factor]
 
-    def unpack(self, bits: int) -> Monomial:
-        """The monomial of ``bits`` = a packed monomial + ``bias``."""
-        half, mask, out = 1 << self.width - 1, (1 << self.width) - 1, []
-        for k, off in self.order:
-            e = (bits >> off & mask) - half
-            if e:
-                out.append((k, e))
-        return tuple(out)
+def _factors(slots: dict[Key, int], key: int) -> list[tuple[Key, int]]:
+    """The (generator, exponent) factors of a packed key, in slot order."""
+    out = []
+    for k in slots:
+        if not key:
+            break
+        e = ((key + _HALF) & _FIELD) - _HALF
+        if e:
+            out.append((k, e))
+        key = (key - e) >> _W
+    return out
+
+
+def _exponent(key: int, slot: int) -> int:
+    """The exponent in one slot of a packed key: adding half of the slot's
+    unit absorbs the borrows of the signed fields below it."""
+    shift = _W * slot
+    high = (key + (1 << shift >> 1)) >> shift
+    return ((high + _HALF) & _FIELD) - _HALF
+
+
+def exponent_bound(*bounds: int) -> int:
+    """The exponent bound of a product of factors whose exponents are
+    within ``bounds``; DomainError when it passes a key's fields."""
+    if sum(bounds) >= _HALF:
+        raise DomainError(f"exponents up to {sum(bounds)} pass the {_W}-bit "
+                          f"field of a monomial")
+    return sum(bounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,8 +438,10 @@ class Universe:
     weight: Callable[[Key], int]
     is_invertible: Callable[[Key], bool] = field(default=lambda k: False)
     nilpotency: Callable[[Key], int | None] = field(default=_never_nilpotent)
-    packing: MonomialPacking = field(default_factory=MonomialPacking,
-                                     init=False, repr=False)
+    slots: dict[Key, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "slots", _SLOTS.setdefault(self.name, {}))
 
     @property
     def has_nilpotents(self) -> bool:
@@ -490,36 +506,6 @@ def symbol_universe(name: str, gens: Iterable[str], *, weight: int = 1,
     )
 
 
-def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    """Product of two canonical monomials, itself canonical."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    if m1[-1][0] < m2[0][0]:
-        return m1 + m2
-    if m2[-1][0] < m1[0][0]:
-        return m2 + m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        k1, e1 = m1[i]
-        k2, e2 = m2[j]
-        if k1 < k2:
-            out.append(m1[i])
-            i += 1
-        elif k2 < k1:
-            out.append(m2[j])
-            j += 1
-        else:
-            if e1 + e2:
-                out.append((k1, e1 + e2))
-            i += 1
-            j += 1
-    return tuple(out) + m1[i:] + m2[j:]
-
-
 def power(x, e: int, one, mul: Callable[[Any, Any], Any] = operator.mul):
     """x**e for e >= 0 by square-and-multiply, skipping the unused last
     squaring; ``one`` when e == 0.  Every product is ``mul``."""
@@ -579,28 +565,30 @@ class SparsePoly:
     Coefficients are duck-typed exact scalars (int, Fraction, Sqrt2,
     CycloRational).  Negative exponents are legal only on generators the
     universe marks invertible; powers at or above a generator's nilpotency
-    order vanish during canonicalization.
+    order vanish during canonicalization.  ``terms`` maps each monomial's
+    packed key to its coefficient, and ``bound`` is at least every
+    |exponent|, so a product refuses exponents past a key's fields before
+    it forms one.
     """
 
-    __slots__ = ("universe", "terms")
+    __slots__ = ("universe", "terms", "bound")
 
     def __init__(self, universe: Universe, terms: Mapping[Monomial, Any] | None = None):
         self.universe = universe
-        self.terms: dict[Monomial, Any] = {}
-        if terms:
-            for mono, c in terms.items():
-                self._accumulate(mono, c)
+        self.terms: dict[int, Any] = {}
+        self.bound = 0
+        for mono, c in (terms or {}).items():
+            self._accumulate(mono, c)
 
     # -- construction ----------------------------------------------------
     @classmethod
-    def _canonical(cls, universe: Universe,
-                   terms: dict[Monomial, Any]) -> "SparsePoly":
+    def _canonical(cls, universe: Universe, terms: dict[int, Any],
+                   bound: int) -> "SparsePoly":
         """Adopt ``terms`` without checks.  Only for terms built from other
-        polynomials of ``universe``: canonical monomials with valid keys,
-        legal exponents and no dead powers, and nonzero coefficients."""
+        polynomials of ``universe``: keys of legal exponents, all at most
+        ``bound`` in size, with no dead powers, and nonzero coefficients."""
         out = cls.__new__(cls)
-        out.universe = universe
-        out.terms = terms
+        out.universe, out.terms, out.bound = universe, terms, bound
         return out
 
     @classmethod
@@ -617,8 +605,7 @@ class SparsePoly:
 
     @classmethod
     def monomial(cls, universe: Universe, powers: Mapping[Key, int], coeff=1) -> "SparsePoly":
-        mono = tuple((k, e) for k, e in powers.items())
-        return cls(universe, {mono: coeff})
+        return cls(universe, {tuple(powers.items()): coeff})
 
     def _accumulate(self, mono: Monomial, c) -> None:
         if not c:
@@ -626,20 +613,21 @@ class SparsePoly:
         merged: dict[Key, int] = {}
         for key, exp in mono:
             merged[key] = merged.get(key, 0) + exp
-        clean = []
+        uni, clean = self.universe, []
         for key, exp in merged.items():
             if exp == 0:
                 continue
-            self.universe.weight(key)  # validates the key
-            if exp < 0 and not self.universe.is_invertible(key):
+            uni.weight(key)  # validates the key
+            if exp < 0 and not uni.is_invertible(key):
                 raise DomainError(
                     f"negative power of non-invertible generator "
-                    f"{self.universe.fmt(key)}")
-            nil = self.universe.nilpotency(key)
+                    f"{uni.fmt(key)}")
+            nil = uni.nilpotency(key)
             if nil is not None and exp >= nil:
                 return  # whole term dies
             clean.append((key, exp))
-        canon = tuple(sorted(clean))
+            self.bound = max(self.bound, exponent_bound(abs(exp)))
+        canon = _encode(uni.slots, clean)
         acc = self.terms.get(canon)
         total = c if acc is None else acc + c
         if total:
@@ -673,13 +661,14 @@ class SparsePoly:
                     terms[mono] = total
                 else:
                     del terms[mono]
-        return SparsePoly._canonical(self.universe, terms)
+        return SparsePoly._canonical(self.universe, terms,
+                                     max(self.bound, o.bound))
 
     __radd__ = __add__
 
     def __neg__(self):
         return SparsePoly._canonical(
-            self.universe, {m: -c for m, c in self.terms.items()})
+            self.universe, {m: -c for m, c in self.terms.items()}, self.bound)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -698,34 +687,27 @@ class SparsePoly:
         if o is None:
             return NotImplemented
         uni = self.universe
-        nil = uni.nilpotency if uni.has_nilpotents else None
-        terms: dict[Monomial, Any] = {}
+        bound = exponent_bound(self.bound, o.bound)
+        dead = ([(i, n) for i, k in enumerate(uni.slots)
+                 if (n := uni.nilpotency(k)) is not None]
+                if uni.has_nilpotents else None)
+        terms: dict[int, Any] = {}
         part = o.terms.items()
         if wmax is not None:
-            weight = self.monomial_weight
+            weight = self._key_weight
             part = sorted(part, key=lambda mc: weight(mc[0]))
             weights = [weight(m) for m, _ in part]
         for m1, c1 in self.terms.items():
             for m2, c2 in (part if wmax is None else
                            part[:bisect_right(weights, wmax - weight(m1))]):
-                mono = _merge_monomials(m1, m2)
-                if nil is not None and any(
-                        (n := nil(k)) is not None and e >= n for k, e in mono):
+                mono = m1 + m2
+                if dead and any(_exponent(mono, i) >= n for i, n in dead):
                     continue  # a dead power kills the term
-                c = c1 * c2
                 acc = terms.get(mono)
-                if acc is None:
-                    terms[mono] = c
-                else:
-                    total = acc + c
-                    if total:
-                        terms[mono] = total
-                    else:
-                        del terms[mono]
-        for mono, c in terms.items():
-            if type(c) is Fraction and c.denominator == 1:
-                terms[mono] = c.numerator
-        return SparsePoly._canonical(uni, terms)
+                terms[mono] = c1 * c2 if acc is None else acc + c1 * c2
+        return SparsePoly._canonical(uni, {
+            m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for m, c in terms.items() if c}, bound)
 
     __rmul__ = __mul__
 
@@ -746,43 +728,49 @@ class SparsePoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, SparsePoly) else other
-        if o is None:
-            return NotImplemented
-        if isinstance(o, SparsePoly) and o.universe != self.universe:
-            return False
-        return self.terms == o.terms
+        if isinstance(other, SparsePoly):
+            return other.universe == self.universe and self.terms == other.terms
+        o = self._coerce(other)
+        return NotImplemented if o is None else self.terms == o.terms
 
     __hash__ = None  # mutable dict inside
 
-    def gens(self) -> set[Key]:
-        return {k for mono in self.terms for k, _ in mono}
+    def monomials(self) -> dict[Monomial, Any]:
+        """The terms keyed by canonical monomials, in no set order."""
+        slots = self.universe.slots
+        return {tuple(sorted(_factors(slots, m))): c
+                for m, c in self.terms.items()}
 
-    def monomial_weight(self, mono: Monomial) -> int:
+    def gens(self) -> set[Key]:
+        slots = self.universe.slots
+        return {k for m in self.terms for k, _ in _factors(slots, m)}
+
+    def monomial_weight(self, mono: Iterable[tuple[Key, int]]) -> int:
         return sum(e * self.universe.weight(k) for k, e in mono)
 
+    def _key_weight(self, mono: int) -> int:
+        return self.monomial_weight(_factors(self.universe.slots, mono))
+
     def max_weight(self) -> int | None:
-        if not self.terms:
-            return None
-        return max(self.monomial_weight(m) for m in self.terms)
+        return max(map(self._key_weight, self.terms), default=None)
 
     def weight_truncate(self, wmax: int) -> "SparsePoly":
         """Drop every term of weight strictly above wmax."""
         return SparsePoly._canonical(self.universe, {
-            m: c for m, c in self.terms.items() if self.monomial_weight(m) <= wmax})
+            m: c for m, c in self.terms.items() if self._key_weight(m) <= wmax},
+            self.bound)
 
     def constant_term(self):
-        return self.terms.get((), 0)
+        return self.terms.get(0, 0)
 
     def coefficient(self, powers: Mapping[Key, int]):
-        mono = tuple(sorted((k, e) for k, e in powers.items() if e != 0))
-        return self.terms.get(mono, 0)
+        return self.terms.get(_encode(self.universe.slots, powers.items()), 0)
 
     def as_scalar(self):
         if not self.terms:
             return Fraction(0)
-        if set(self.terms) == {()}:
-            return self.terms[()]
+        if self.terms.keys() == {0}:
+            return self.terms[0]
         raise DomainError(f"not a scalar: {self}")
 
     def is_integral(self) -> bool:
@@ -790,26 +778,29 @@ class SparsePoly:
 
     # -- calculus / substitution ------------------------------------------
     def differentiate(self, key: Key) -> "SparsePoly":
-        out = SparsePoly(self.universe)
-        for mono, c in self.terms.items():
-            for i, (k, e) in enumerate(mono):
-                if k == key:
-                    rest = mono[:i] + mono[i + 1:] + ((k, e - 1),)
-                    out._accumulate(rest, c * e)
-                    break
-        return out
+        uni, terms = self.universe, {}
+        slot = uni.slots.get(key)
+        if slot is not None:
+            unit = 1 << _W * slot
+            for mono, c in self.terms.items():
+                e = _exponent(mono, slot)
+                if e:
+                    terms[mono - unit] = c * e
+        # only an invertible key can reach below -bound
+        return SparsePoly._canonical(uni, terms,
+                                     self.bound + uni.is_invertible(key))
 
     def inv(self) -> "SparsePoly":
         """Inverse of a unit monomial (single term, invertible content)."""
         if len(self.terms) != 1:
             raise DomainError("only single-term polynomials are invertible")
-        (mono, c), = self.terms.items()
-        for k, _ in mono:
+        (key, c), = self.terms.items()
+        for k, _ in sorted(_factors(self.universe.slots, key)):
             if not self.universe.is_invertible(k):
                 raise DomainError(
                     f"generator {self.universe.fmt(k)} is not invertible")
-        inv_mono = tuple((k, -e) for k, e in mono)
-        return SparsePoly(self.universe, {inv_mono: coeff_inv(c)})
+        return SparsePoly._canonical(self.universe, {-key: coeff_inv(c)},
+                                     self.bound)
 
     def substitute(self, mapping: Mapping[Key, Any],
                    universe: Universe | None = None) -> "SparsePoly":
@@ -834,18 +825,32 @@ class SparsePoly:
             return (one * mapping[key] if key in mapping
                     else SparsePoly.gen(target, key)) ** e
 
-        return ring_map(self.terms.items(), image, one)
+        return ring_map(self.monomials().items(), image, one)
 
     # -- display -----------------------------------------------------------
-    def sorted_terms(self) -> list[tuple[Monomial, Any]]:
-        return sorted(self.terms.items(),
-                      key=lambda mc: (self.monomial_weight(mc[0]), mc[0]))
-
     def monomial_str(self, mono: Monomial) -> str:
         """Display text of a monomial ('' for the constant monomial)."""
         fmt = self.universe.fmt
         return "*".join(fmt(k) + (f"^{e}" if e != 1 else "") for k, e in mono)
 
     def __repr__(self):
-        return render_terms((self.monomial_str(m), c)
-                            for m, c in self.sorted_terms())
+        """The terms by weight, then by monomial."""
+        return render_terms((self.monomial_str(m), c) for m, c in sorted(
+            self.monomials().items(),
+            key=lambda mc: (self.monomial_weight(mc[0]), mc[0])))
+
+
+def collect(polys: Iterable[SparsePoly], key: Key) -> dict[int, SparsePoly]:
+    """The sum of ``polys``, over one universe and with no monomial in
+    common, by powers of the generator ``key``: {e: c_e} in increasing e,
+    where the sum is that of c_e * key^e and no c_e holds ``key``."""
+    out: dict[int, dict[int, Any]] = {}
+    uni, bound = None, 0
+    for p in polys:
+        uni, bound = p.universe, max(bound, p.bound)
+        slot = uni.slots.get(key)
+        for mono, c in p.terms.items():
+            e = 0 if slot is None else _exponent(mono, slot)
+            out.setdefault(e, {})[mono - (e << _W * slot) if e else mono] = c
+    return {e: SparsePoly._canonical(uni, terms, bound)
+            for e, terms in sorted(out.items())}

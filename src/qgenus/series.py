@@ -26,7 +26,7 @@ from operator import add, mul
 from typing import Any, Iterable, Mapping
 
 from .errors import DomainError, IncompatibleOperands
-from .rings import (MonomialPacking, SparsePoly, Universe, coeff_inv,
+from .rings import (SparsePoly, Universe, coeff_inv, exponent_bound,
                     over_common_denominator, power, render_terms, ring_map)
 
 ExpVec = tuple[int, ...]
@@ -178,12 +178,11 @@ class TruncatedSeries:
 
         If each operand's coefficients are all rational, or all SparsePoly
         over one universe without nilpotents, a term is an (exponent,
-        monomial) pair keyed by the monomial packed above the exponent
-        (:class:`~qgenus.rings.MonomialPacking`), else a whole coefficient.
-        Rational values are integers over a common denominator, at one
-        ``Fraction`` per output term (``int`` when integral).  ``order``
-        below the honest window cuts the product there: no pair of terms
-        beyond it is formed."""
+        monomial) pair whose key is the monomial's key shifted above the
+        exponent, else a whole coefficient.  Rational values are integers
+        over a common denominator, at one ``Fraction`` per output term
+        (``int`` when integral).  ``order`` below the honest window cuts the
+        product there: no pair of terms beyond it is formed."""
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         o = self._align(other)
@@ -196,12 +195,9 @@ class TruncatedSeries:
         nvars, width = len(self.vars), max(order, 1).bit_length()
         sbits = (width * nvars if nvars > 1
                  else (order - self.low - o.low).bit_length())
-        uni = _flat_universe(self.coeffs, o.coeffs)
-        pk, fw = (uni.packing, uni.packing.width) if uni else (None, 0)
-        ka, da, ca, den_a = _flat_terms(self, width, sbits, pk, False)
-        kb, db, cb, den_b = _flat_terms(o, width, sbits, pk, True)
-        if uni and pk.width != fw:
-            return self.__mul__(o, order)  # packed again in the wider fields
+        uni, bound = _flat_universe(self.coeffs, o.coeffs)
+        ka, da, ca, den_a = _flat_terms(self, width, sbits, uni, False)
+        kb, db, cb, den_b = _flat_terms(o, width, sbits, uni, True)
         last, part, acc = None, (), {}
         get = acc.get
         for k1, d1, c1 in zip(ka, da, ca):
@@ -213,7 +209,7 @@ class TruncatedSeries:
                 prev = get(k)
                 acc[k] = c if prev is None else prev + c
         del ka, da, ca, kb, db, cb, part  # the terms' memory, before regrouping
-        den, smask, polys, monos = den_a * den_b, (1 << sbits) - 1, {}, {}
+        den, smask, polys = den_a * den_b, (1 << sbits) - 1, {}
         for k, v in acc.items():
             if not v:
                 continue
@@ -222,17 +218,13 @@ class TruncatedSeries:
                      else v * Fraction(1, den))
             if type(v) is Fraction and v.denominator == 1:
                 v = v.numerator
-            if uni is None:
-                polys[k] = v
-                continue
-            m = k >> sbits
-            mono = monos.get(m) or monos.setdefault(m, pk.unpack(m + pk.bias))
-            polys.setdefault(k & smask, {})[mono] = v
+            # without uni, every key is an exponent alone: monomial key 0
+            polys.setdefault(k & smask, {})[k >> sbits] = v
         low, mask = self.low + o.low, (1 << width) - 1
         for k, v in polys.items():
             out.coeffs[(k + low,) if nvars == 1 else tuple(
                 k >> width * i & mask for i in range(nvars))] = (
-                SparsePoly._canonical(uni, v) if uni else v)
+                SparsePoly._canonical(uni, v, bound) if uni else v[0])
         return out
 
     def __rmul__(self, other):
@@ -466,39 +458,41 @@ class TruncatedSeries:
         return f"{head} + O({ovar}^{self.order + 1})"
 
 
-def _flat_universe(*operands: Mapping) -> Universe | None:
+def _flat_universe(*operands: Mapping) -> tuple[Universe | None, int]:
     """The universe whose monomials a product spreads over (see
-    ``__mul__``), or None."""
-    uni, names = None, set()
+    ``__mul__``) and the exponent bound of the product, or (None, 0)."""
+    unis, bounds = set(), []
     for coeffs in operands:
         kinds = set(map(type, coeffs.values()))
         if kinds == {SparsePoly}:
-            names |= {c.universe.name for c in coeffs.values()}
-            uni = next(iter(coeffs.values())).universe
+            unis |= {c.universe for c in coeffs.values()}  # equal by name
+            bounds.append(max(c.bound for c in coeffs.values()))
         elif not kinds <= _RATIONAL:
-            return None
-    return uni if len(names) == 1 and not uni.has_nilpotents else None
+            return None, 0
+    if len(unis) != 1 or (uni := unis.pop()).has_nilpotents:
+        return None, 0
+    return uni, exponent_bound(*bounds)
 
 
 def _flat_terms(t: TruncatedSeries, width: int, sbits: int,
-                pk: MonomialPacking | None, ordered: bool):
+                uni: Universe | None, ordered: bool):
     """(keys, degrees, values, d): t's terms as parallel lists (by degree
     if ``ordered``), values over d.  A key's low ``sbits`` hold the
     exponent less t.low, or the exponents in ``width``-bit fields, so keys
-    add without carries; above them sits a monomial packed by ``pk``.
-    Rational values become integers over their LCM denominator d."""
+    add without carries; with ``uni``, a SparsePoly value is one term per
+    monomial, whose key sits above them.  Rational values become
+    integers over their LCM denominator d."""
     items, uv = t.coeffs.items(), len(t.vars) == 1
     if ordered:
         items = sorted(items, key=None if uv else lambda kc: sum(kc[0]))
     mults = [1 << width * i for i in range(len(t.vars))]
-    get = pk.__getitem__ if pk is not None else None
     keys, degs, vals = [], [], []
     for key, c in items:
         d = key[0] if uv else sum(key)
         k = d - t.low if uv else sum(map(mul, key, mults))
-        for m, x in (c.terms.items() if get and type(c) is SparsePoly
-                     else (((), c),)):
-            keys.append((sum(map(get, m)) << sbits) + k if m else k)
+        for m, x in (c.terms.items() if uni and type(c) is SparsePoly
+                     else ((0, c),)):
+            keys.append((m << sbits) + k)
             degs.append(d)
             vals.append(x)
     kinds, den = set(map(type, vals)), 1

@@ -42,6 +42,7 @@ from .rings import (
     Universe,
     UPS,
     coeff_is_integral,
+    collect,
     power,
     ring_map,
     row_reduce,
@@ -501,13 +502,7 @@ class VertexOperator:
     def table(self) -> dict[int, SparsePoly]:
         """Laurent table, z-exponent -> element of S (x) S-dual: the series
         regrouped by the exponent of z, which no entry shows."""
-        out: dict[int, dict] = {}
-        for poly in self.series.coeffs.values():
-            for mono, c in poly.terms.items():
-                e = mono[-1][1] if mono and mono[-1][0] == Z else 0
-                out.setdefault(e, {})[mono[:-1] if e else mono] = c
-        return {e: SparsePoly._canonical(SD, terms)
-                for e, terms in sorted(out.items())}
+        return collect(self.series.coeffs.values(), Z)
 
     def __add__(self, other: "VertexOperator") -> "VertexOperator":
         return VertexOperator(self.series + other.series)
@@ -557,7 +552,7 @@ def vertex_Y_element(b: SparsePoly, t=0, *, weight_cap: int) -> VertexOperator:
     # higher power sums first: their operators lack the s-modes below the
     # index, so the partial products stay smaller
     gen = cache(lambda k: vertex_Y_powersum(k, t, weight_cap=weight_cap))
-    op = ring_map(((reversed(m), c) for m, c in b.terms.items()),
+    op = ring_map(((reversed(m), c) for m, c in b.monomials().items()),
                   lambda k, e: power(gen(k), e, one), one)
     return VertexOperator(op.series, f"Y({b!r})")
 
@@ -579,7 +574,7 @@ def vertex_apply(op: VertexOperator, state: SparsePoly) -> dict[int, SparsePoly]
         raise IncompatibleOperands("states are power-sum polynomials")
     by_dual: dict[tuple, dict[int, dict]] = {}
     for ez, poly in op.table.items():
-        for mono, c in poly.terms.items():
+        for mono, c in poly.monomials().items():
             dual = tuple((m, e) for (side, m), e in mono if side == "d")
             mult = tuple((m, e) for (side, m), e in mono if side == "s")
             by_dual.setdefault(dual, {}).setdefault(ez, {})[mult] = c
@@ -611,7 +606,7 @@ def _annihilate(ann: SparsePoly, state: SparsePoly) -> SparsePoly:
     """Apply a polynomial in the dual modes: a state generator of weight n
     (p~_n, or p~_n^(d) on a lattice) acts as (1/n) d/dp~_n."""
     out = SparsePoly.zero(state.universe)
-    for mono, c in ann.terms.items():
+    for mono, c in ann.monomials().items():
         term = state
         scale = c
         for key, e in mono:
@@ -956,7 +951,7 @@ class LatticeFockElement:
         out = set()
         for pt, poly in self.components.items():
             base = self.lattice.inner(pt, pt)
-            for mono in poly.terms:
+            for mono in poly.monomials():
                 out.add(base + poly.monomial_weight(mono))
         return out
 
@@ -1081,7 +1076,7 @@ def lattice_grading_audit(op: LatticeVertexOperator,
 def vertex_table_obj(op: VertexOperator) -> dict:
     """JSON-ready Laurent-coefficient table of a tensor-square operator."""
     coeffs = {f"z^{e}": {poly.monomial_str(mono) or "1": str(c)
-                         for mono, c in sorted(poly.terms.items())}
+                         for mono, c in sorted(poly.monomials().items())}
               for e, poly in sorted(op.table.items())}
     return {"weight_cap": op.weight_cap, "label": op.label,
             "coefficients": coeffs}
@@ -1099,7 +1094,7 @@ def lattice_action_obj(op: LatticeVertexOperator,
     for e, elem in applied.items():
         for pt, poly in sorted(elem.components.items()):
             terms = {poly.monomial_str(mono) or "1": str(c)
-                     for mono, c in sorted(poly.terms.items())}
+                     for mono, c in sorted(poly.monomials().items())}
             entries.append({"z": e, "component": list(pt), "terms": terms})
     return {
         "point": list(op.point),

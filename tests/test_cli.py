@@ -491,6 +491,12 @@ class TestMl:
         r = run("ml", "--alpha", alpha, "--z", z)
         assert r.exit_code == 2 and "internal error" not in r.stderr
 
+    def test_tiny_alpha_is_refused_in_words(self):
+        # exited 2 with the bare "(34, 'Numerical result out of range')"
+        r = run("ml", "--alpha", "1e-300", "--z", "3i")
+        assert r.exit_code == 2
+        assert "alpha=1e-300 is too small at |z|=3.0" in r.stderr
+
     def test_bad_inputs(self):
         assert run("ml", "--alpha", "0.75", "--z", "3+4i").exit_code == 2
         assert run("ml", "--alpha", "x", "--z", "1").exit_code == 2
@@ -990,8 +996,8 @@ _Y_CHECK_CAP = ("voa", "y-check", "--b", "h11", "--bprime", "h11",
                 "--weight-cap", "12", "--window", "64")
 _Y_CHECK_SIX = ("voa", "y-check", "--b", "(p1+p2+p3+p4+p5+p6)^4",
                 "--bprime", "p1", "--weight-cap", "12")
-# a fresh process whose operator product first meets |z| = 16, which
-# widens the packing of SD between the two operands
+# a fresh process whose operator product first meets |z| = 16, where a
+# product once lost its cut when the fields of SD's monomial keys widened
 _Y_CHECK_WIDEN = ("voa", "y-check", "--b", "p1*p3", "--bprime", "p1",
                   "--weight-cap", "12")
 
@@ -1318,8 +1324,8 @@ def test_readme_examples_run_verbatim(argv, expected, tmp_path):
 
 # ---------------------------------------------------------------------------
 # history independence: a command prints the same bytes whatever ran before
-# it in the same process (process-wide state such as a universe's packing
-# must not leak into results)
+# it in the same process (process-wide state such as the order in which a
+# universe's generators took their key slots must not leak into results)
 # ---------------------------------------------------------------------------
 
 # rungs that take over about a second; every other rung runs again below
@@ -1368,3 +1374,38 @@ def test_stdout_does_not_depend_on_what_ran_before(tmp_path):
     got = json.loads(p.stdout)
     want = [[code, digest] for _, code, digest in fresh]
     assert got == want + want[::-1]
+
+
+# touches generators in the usual order or in reverse (x9 before x0, z
+# first, then each ("d", m) before ("s", m), highest m first), then prints
+# q_8 and an operator table, and the slot order the run made
+_TOUCH = """
+import json, sys
+from fractions import Fraction
+from qgenus import witt
+from qgenus.qfunctions import q_in_x
+from qgenus.rings import SparsePoly, UX
+keys = [("s", m) for m in range(1, 7)] + [("d", m) for m in range(1, 7)]
+if sys.argv[1] == "reverse":
+    SparsePoly.gen(UX, 9)
+    for key in [witt.Z] + keys[::-1]:
+        SparsePoly.gen(witt.SD, key)
+op = witt.vertex_Y_powersum(2, Fraction(1, 2), weight_cap=6)
+json.dump({"q8": repr(q_in_x(8)), "table": witt.vertex_table_obj(op * op),
+           "slots": [list(UX.slots)[:2], list(witt.SD.slots)[:2]]},
+          sys.stdout)
+"""
+
+
+def test_output_does_not_depend_on_the_order_keys_were_first_used(tmp_path):
+    """A fresh child that touches generators in reverse order prints the
+    same q_8 and operator table as one that touches them in the usual
+    order, though their generators hold other key slots."""
+    env = _ladder_env(tmp_path)
+    usual, reverse = (json.loads(subprocess.run(
+        [sys.executable, "-c", _TOUCH, order], capture_output=True,
+        text=True, env=env, timeout=60, check=True).stdout)
+        for order in ("usual", "reverse"))
+    assert reverse["slots"] == [[9, 0], [["z", 0], ["d", 6]]]
+    assert usual.pop("slots") != reverse.pop("slots")
+    assert usual == reverse

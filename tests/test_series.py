@@ -97,7 +97,7 @@ def test_ring_map_forms_each_power_once():
         return SparsePoly.gen(UPS, key) ** e + 1
 
     p = SparsePoly(UPS, {((1, 2),): 3, ((1, 2), (2, 1)): F(1, 2), (): 5})
-    out = ring_map(p.terms.items(), image, SparsePoly.const(UPS, 1))
+    out = ring_map(p.monomials().items(), image, SparsePoly.const(UPS, 1))
     p1, p2 = SparsePoly.gen(UPS, 1), SparsePoly.gen(UPS, 2)
     assert out == 3 * (p1 ** 2 + 1) + F(1, 2) * (p1 ** 2 + 1) * (p2 + 1) + 5
     assert sorted(calls) == [(1, 2), (2, 1)]
@@ -154,6 +154,30 @@ def test_cyclotomic_is_exact_field():
         CycloRational.from_scalar(5, 0).inv()
     with pytest.raises(DomainError):
         CycloRational.root(4)
+
+
+def test_cyclotomic_equality_across_orders():
+    """== never raises, whatever the orders: values of different orders are
+    equal exactly when both are the same rational, and equal values hash
+    equal."""
+    def value(x):  # a rational, or (order, coordinates) when irrational
+        if not isinstance(x, CycloRational):
+            return F(x)
+        return x.coeffs[0] if not any(x.coeffs[1:]) else (x.p, x.coeffs)
+
+    xs = [0, 1, F(-1, 2)]
+    for p in (2, 3, 5, 7):
+        t = CycloRational.root(p)
+        xs += [CycloRational.from_scalar(p, c) for c in (0, 1, F(-1, 2))]
+        xs += [t, t + 1, t * t - F(1, 3)]
+    for a, b in itertools.product(xs, repeat=2):
+        assert (a == b) == (b == a) == (value(a) == value(b)), (a, b)
+        assert (a != b) == (not a == b)
+        if a == b:
+            assert hash(a) == hash(b), (a, b)
+    assert CycloRational.from_scalar(3, 1) == CycloRational.from_scalar(5, 1)
+    assert CycloRational.root(3) != CycloRational.root(5)
+    assert CycloRational.root(2) == CycloRational.from_scalar(7, -1)
 
 
 small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=2)
@@ -264,18 +288,41 @@ def test_outside_input_is_still_validated():
     assert not any(u.has_nilpotents for u in (UX, UQ, UT, UPS, SD))
 
 
+def test_universes_that_share_a_name_share_their_keys():
+    """Two lattice universes of one rank, and nil_s at two nilpotent
+    orders, multiply and compare as one object does; a product takes the
+    nilpotency of its left operand."""
+    u, v = lattice_universe(2), lattice_universe(2)
+    assert u is not v and u == v
+
+    def poly(uni):
+        return (SparsePoly.gen(uni, (0, 1)) + 2 * SparsePoly.gen(uni, (1, 3))
+                * SparsePoly.gen(uni, (0, 2)) ** 2)
+
+    a, b = poly(u), SparsePoly.gen(v, (1, 2)) - poly(v) ** 2
+    one = poly(u) * (SparsePoly.gen(u, (1, 2)) - poly(u) ** 2)
+    assert a == poly(v) and a * b == b * a == poly(v) * b == one
+    assert repr(a * b) == repr(b * a) == repr(one)
+    n7, n5 = (symbol_universe("nil_s", ["s"], nilpotent_order=k)
+              for k in (7, 5))
+    s7, s5 = SparsePoly.gen(n7, "s"), SparsePoly.gen(n5, "s")
+    assert s7 * s5 == s5 * s7 == s7 ** 2 == s5 ** 2
+    assert s7 ** 3 * s5 ** 3 == s7 ** 6 and repr(s7 ** 6) == "s^6"
+    assert not s5 ** 3 * s7 ** 3 and not s5 ** 5
+
+
 def test_product_on_nilpotent_universe_drops_dead_terms():
     U = symbol_universe("nil3su", ["s", "u"], nilpotent_order=3)
     s, u = SparsePoly.gen(U, "s"), SparsePoly.gen(U, "u")
     p = (s ** 2 + u) * (s + u ** 2)
     assert p == s * u + s ** 2 * u ** 2
-    assert set(p.terms) == {(("s", 1), ("u", 1)), (("s", 2), ("u", 2))}
+    assert set(p.monomials()) == {(("s", 1), ("u", 1)), (("s", 2), ("u", 2))}
 
 
 def test_unit_times_inverse_is_constant_one():
     x0 = SparsePoly.gen(UX, 0)
     one = x0.inv() * x0
-    assert one.terms == {(): 1} and repr(one) == "1"
+    assert one.monomials() == {(): 1} and repr(one) == "1"
     assert type(coeff_inv(1)) is int and coeff_inv(F(-1)) == -1
     assert type(coeff_inv(F(-1))) is int and coeff_inv(2) == F(1, 2)
 
@@ -288,15 +335,15 @@ def test_integer_valued_fraction_product_matches_validated_result():
     got = (F(3, 2) * x1) * (F(2, 3) * x2)
     want = SparsePoly(UX, {((1, 1), (2, 1)): F(1)})
     assert got == want and repr(got) == repr(want) == "x1*x2"
-    assert type(got.terms[((1, 1), (2, 1))]) is int
+    assert type(got.monomials()[((1, 1), (2, 1))]) is int
 
 
 def _reference_product(p: SparsePoly, q: SparsePoly) -> SparsePoly:
     """Every pair of terms through the validating constructor: concatenated
     monomials, re-merged and re-checked, with no trusted shortcut."""
     out = SparsePoly.zero(p.universe)
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
+    for m1, c1 in p.monomials().items():
+        for m2, c2 in q.monomials().items():
             out = out + SparsePoly(p.universe, {m1 + m2: c1 * c2})
     return out
 
@@ -316,7 +363,7 @@ def test_merge_product_matches_reference(p, q, nil):
     assert p + q - q == p and -(-p) == p
     if nil is not None:
         U = symbol_universe(f"nilx{nil}", [0, 1, 2, 3], nilpotent_order=nil)
-        pn, qn = (SparsePoly(U, {m: c for m, c in r.terms.items()
+        pn, qn = (SparsePoly(U, {m: c for m, c in r.monomials().items()
                                   if all(e > 0 for _, e in m)})
                   for r in (p, q))
         assert pn * qn == _reference_product(pn, qn)
@@ -444,8 +491,8 @@ def _assert_same(got: TruncatedSeries, want: TruncatedSeries) -> None:
     assert got == want and kinds(got) == kinds(want)
 
 
-# Exponents on both sides of the field boundaries |e| = 2**(width - 2) at
-# which a universe's packing widens.
+# Exponents on both sides of powers of two, far below the bound of a key's
+# 64-bit signed fields.
 wide_exponents = st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16, 63, 64,
                                   2 ** 20 - 1, 2 ** 20])
 
@@ -466,9 +513,9 @@ def wide_polys(draw, universe):
 @pytest.mark.parametrize("nvars", [1, 3])
 @given(data=st.data())
 def test_spread_product_at_wide_fields(nvars, data):
-    """Products spread over monomials whose exponents reach past the packed
-    field width, in a fresh universe each time, so that the first product
-    widens the packing and packs again; both operand orders."""
+    """Products spread over monomials whose exponents range from 1 to
+    2**20, in a universe whose slots other tests have not touched; both
+    operand orders."""
     uni = indexed_universe("wide", "w", lambda k: 2 * k + 1, invertible={0})
     polys = wide_polys(uni)
     a, b = data.draw(series_pairs(nvars, polys))
@@ -476,32 +523,55 @@ def test_spread_product_at_wide_fields(nvars, data):
     _assert_same(b * a, _reference_series_product(b, a))
 
 
-def test_packing_widens_at_the_field_boundary():
-    """The last exponent a field holds, the first it does not, and one far
-    beyond: each product packs again in wider fields when it must."""
-    uni = indexed_universe("grow", "g", lambda k: k + 1, invertible={0})
+#: The largest |exponent| a key's 64-bit signed field holds.
+TOP = 2 ** 63 - 1
+
+
+def test_exponents_at_the_field_bound():
+    """The largest exponent a key's field holds comes out exact and the
+    first past it raises DomainError, before any term is formed: in
+    polynomial products and powers, and in the spread series product, in
+    both operand orders.  A product's bound is the sum of its operands'
+    bounds, so the operands are built whole."""
+    uni = indexed_universe("top", "g", lambda k: k + 1, invertible={0})
     g0, g2 = SparsePoly.gen(uni, 0), SparsePoly.gen(uni, 2)
-    small = ts({0: g2, 1: g0.inv(), 2: SparsePoly.const(uni, F(1, 3))}, 4)
-    _assert_same(small * small, _reference_series_product(small, small))
-    width = uni.packing.width
-    assert width == 3  # |e| = 1 takes a 3-bit field
-    for e in (2 ** (width - 2) - 1, 2 ** (width - 2), 2 ** 40):
-        big = ts({1: g0 ** -e * g2 ** e, 2: g0 ** e + 1}, 4)
-        for x, y in ((small, big), (big, small), (big, big)):
-            _assert_same(x * y, _reference_series_product(x, y))
-        assert 2 * e < 2 ** (uni.packing.width - 1)
-    assert uni.packing.width > width
+
+    def mono(e0, e2=0):
+        return SparsePoly.monomial(uni, {0: e0, 2: e2})
+
+    half = 2 ** 62
+    for sign in (1, -1):
+        a, b = mono(sign * half), mono(sign * (half - 1), 1)
+        for x, y in ((a, b), (b, a)):
+            assert (x * y).monomials() == {((0, sign * TOP), (2, 1)): 1}
+            with pytest.raises(DomainError):
+                x * (y * g0 ** sign)
+        assert (g0 ** (sign * TOP)).monomials() == {((0, sign * TOP),): 1}
+        with pytest.raises(DomainError):
+            g0 ** (sign * (TOP + 1))
+        with pytest.raises(DomainError):
+            SparsePoly.gen(uni, 0, sign * (TOP + 1))
+    x = ts({1: mono(-half, 1), 2: mono(0, half) + 1}, 4)
+    y = ts({0: mono(1 - half), 1: mono(0, half - 1) - g0}, 4)
+    over = ts({0: mono(-half), 2: g2}, 4)
+    for a, b in ((x, y), (y, x)):
+        got = a * b
+        _assert_same(got, _reference_series_product(a, b))
+        assert ((0, -TOP), (2, 1)) in got.coefficient(1).monomials()
+        assert ((2, TOP),) in got.coefficient(3).monomials()
+    for a, b in ((x, over), (over, x)):
+        with pytest.raises(DomainError):
+            a * b
 
 
 @pytest.mark.parametrize("cut", [1, 3, 6])
 def test_cut_product_keeps_its_cut_when_the_packing_widens(cut):
-    """A product cut below its honest window whose second operand widens
-    the packing is packed again under the same cut."""
+    """A product cut below its honest window whose second operand holds
+    far larger exponents than the first keeps that cut."""
     uni = indexed_universe("cut", "c", lambda k: k + 1)
     x = SparsePoly.gen(uni, 1)
     a, b = ts({1: x, 2: x + 1}, 6), ts({1: x ** 40, 3: x ** 40 - 1}, 8)
     out = a.__mul__(b, cut)
-    assert uni.packing.width == 8  # x^40 widened the field x^1 had set
     assert out.order == cut
     _assert_same(out, (a * b).truncate(cut))
 
@@ -539,13 +609,13 @@ def test_cut_poly_product_is_the_product_truncated(p, q, wmax, nilpotent):
     symbol universe; a cut below every pair is 0 and one at the heaviest
     pair is the whole product."""
     if nilpotent:
-        p, q = (SparsePoly(NIL, {m: c for m, c in r.terms.items()
+        p, q = (SparsePoly(NIL, {m: c for m, c in r.monomials().items()
                                  if all(e > 0 for _, e in m)})
                 for r in (p, q))
     whole = p * q
     _assert_same_poly(p.__mul__(q, wmax), whole.weight_truncate(wmax))
     weights = [p.monomial_weight(m1) + q.monomial_weight(m2)
-               for m1 in p.terms for m2 in q.terms]
+               for m1 in p.monomials() for m2 in q.monomials()]
     if weights:
         assert not p.__mul__(q, min(weights) - 1)
         _assert_same_poly(p.__mul__(q, max(weights)), whole)
@@ -648,12 +718,12 @@ UNSCALED = {
     # rationals and polynomials side by side in one operand
     "mixed": poly_coeffs,
     "nilpotent": x_polys().map(lambda p: SparsePoly(NIL, {
-        m: c for m, c in p.terms.items() if all(e > 0 for _, e in m)})
+        m: c for m, c in p.monomials().items() if all(e > 0 for _, e in m)})
     ).filter(bool),
     "sqrt2": x_polys().map(lambda p: SparsePoly(UX, {
-        m: Sqrt2(c, 1) for m, c in p.terms.items()})).filter(bool),
+        m: Sqrt2(c, 1) for m, c in p.monomials().items()})).filter(bool),
     "cyclo": x_polys().map(lambda p: SparsePoly(UX, {
-        m: c + CycloRational.root(5) for m, c in p.terms.items()})
+        m: c + CycloRational.root(5) for m, c in p.monomials().items()})
     ).filter(bool),
 }
 

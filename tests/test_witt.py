@@ -320,8 +320,9 @@ def hall_inner(a: SparsePoly, b: SparsePoly):
     if a.universe != UPS or b.universe != UPS:
         raise IncompatibleOperands("Hall pairing lives on power-sum polynomials")
     total = Fraction(0)
-    for mono, ca in a.terms.items():
-        cb = b.terms.get(mono)
+    mb = b.monomials()
+    for mono, ca in a.monomials().items():
+        cb = mb.get(mono)
         if cb is None:
             continue
         norm = Fraction(1)
@@ -363,7 +364,7 @@ def _apply_sd_every_monomial(op, state):
     out = {}
     for ez, poly in op.table.items():
         acc = SparsePoly.zero(UPS)
-        for mono, c in poly.terms.items():
+        for mono, c in poly.monomials().items():
             term, mult = state * c, {}
             for (side, m), e in mono:
                 if side == "d":
@@ -477,7 +478,7 @@ def _old_op_product(a, b, cap):
 def _old_vertex_Y_element(b, t, cap):
     """Each monomial as an e-fold product of generator tables, summed."""
     total = {}
-    for mono, c in sorted(b.terms.items()):
+    for mono, c in sorted(b.monomials().items()):
         op = {0: SparsePoly.const(SD, 1)}
         for k, e in mono:
             for _ in range(e):
@@ -685,7 +686,7 @@ def _lattice_table(op):
 
     def rename(poly, side):
         return SparsePoly(uni, {tuple(((side,) + k, x) for k, x in mono): c
-                                for mono, c in poly.terms.items()})
+                                for mono, c in poly.monomials().items()})
 
     creation = [rename(p, "s") for p in op.creation]
     table = {}
@@ -733,7 +734,7 @@ def _apply_every_monomial(point, L, table, state):
         target = tuple(a + b for a, b in zip(mu, point))
         for e, entry in table.items():
             acc = SparsePoly.zero(uni)
-            for mono, c in entry.terms.items():
+            for mono, c in entry.monomials().items():
                 term, mult = poly * c, SparsePoly.const(uni, 1)
                 for (side, d, n), x in mono:
                     if side == "d":
