@@ -313,8 +313,9 @@ def ml_asymptotic(alpha, z, n_terms: int | None = None) -> FloatEval:
     """Generic-alpha algebraic tail  -sum_{n>=1} z^{-n} / Gamma(1 - alpha n).
 
     1/Gamma at a pole contributes nothing; for alpha = 1 every term dies and
-    the tail is identically zero.  ``alpha`` is taken exactly (Fraction) so
-    pole detection never depends on float rounding.  Same sector rule as
+    the tail is identically zero.  ``alpha`` is read once as an exact
+    fraction p/q; the pole and sign tests run on the integers p and q, so
+    they never depend on float rounding.  Same sector rule as
     :func:`asymptotic_tail`, scaled to half-width alpha*pi/2.  The error
     field is the coarse first-omitted-term magnitude (the gamma reflections
     make term ratios irregular, so no tail summation is attempted here).
@@ -328,6 +329,7 @@ def ml_asymptotic(alpha, z, n_terms: int | None = None) -> FloatEval:
     _check_sector(zc, float(af) * math.pi / 2.0)
     if af == 1:
         return FloatEval(_as_real_if(z, 0.0 + 0.0j), 0.0, "asymptotic", 0)
+    p, q = af.numerator, af.denominator
     acc = _Kahan()
     last_mag = None
     n = 0
@@ -337,25 +339,26 @@ def ml_asymptotic(alpha, z, n_terms: int | None = None) -> FloatEval:
         n += 1
         if n_terms is not None and n > n_terms:
             break
-        e = 1 - af * n
-        if e.denominator == 1 and e <= 0:
+        num = q - p * n             # Gamma's argument 1 - alpha*n is num/q
+        if num <= 0 and num % q == 0:
             term = 0.0 + 0.0j       # pole of Gamma: the term drops out
         else:
+            arg = num / q           # correctly rounded, as float(Fraction)
             power = zc ** -n
-            gamma = math.gamma(float(e))
+            gamma = math.gamma(arg)
             if power and gamma:
                 term = -power / gamma
             else:
                 # z^-n or Gamma left the double range: go through logs
                 try:
                     size = math.exp(-n * math.log(abs(zc))
-                                    - math.lgamma(float(e)))
+                                    - math.lgamma(arg))
                 except OverflowError:  # only a forced tail grows this far
                     raise _out_of_range(n_terms) from None
                 if not size:        # past the double range: nothing left
                     omitted = 0.0
                     break
-                if e < 0 and math.floor(e) % 2:
+                if (num // q) % 2:
                     size = -size    # Gamma is negative here
                 term = -size * cmath.exp(complex(0.0, -n * cmath.phase(zc)))
         mag = abs(term)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -774,14 +775,21 @@ def epsilon_table(obj, x_min, x_max, points, log_spacing, output):
     from .analytic import write_epsilon_csv
     _require(2 <= points <= _MAX_POINTS,
              f"--points must be in [2, {_MAX_POINTS}]")
+    _require(math.isfinite(x_min), "--x-min must be finite")
+    _require(math.isfinite(x_max), "--x-max must be finite")
     _require(x_min < x_max, "--x-min must be below --x-max")
     if log_spacing:
         _require(x_min > 0, "log spacing needs --x-min > 0")
         ratio = x_max / x_min
         xs = [x_min * ratio ** (i / (points - 1)) for i in range(points)]
     else:
-        step = (x_max - x_min) / (points - 1)
-        xs = [x_min + i * step for i in range(points)]
+        # in units of s = 2 only when the span overflows, so every other
+        # grid keeps its points x_min + i*step
+        s = 1.0 if math.isfinite(x_max - x_min) else 2.0
+        step = (x_max / s - x_min / s) / (points - 1)
+        xs = [(x_min / s + i * step) * s for i in range(points)]
+        if s == 2.0:  # the top point can round past the largest double
+            xs[-1] = x_max
     if output is None:
         buf = io.StringIO()
         write_epsilon_csv(buf, xs)

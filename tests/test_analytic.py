@@ -20,8 +20,10 @@ ulps.
 
 import cmath
 import csv
+import hashlib
 import io
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -524,3 +526,86 @@ class TestFloatEval:
         assert float(FloatEval(2.5, 0.0, "series")) == 2.5
         with pytest.raises(TypeError):
             float(FloatEval(1 + 1j, 0.0, "series"))
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the whole lane
+# ---------------------------------------------------------------------------
+
+_LANE_ALPHAS = (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(3, 2),
+                1, Fraction(1, 3), Fraction(5, 3), 0.3)
+
+
+def _lane_calls():
+    """(label, thunk) over a seeded grid that reaches every route of the
+    lane: each eps method with and without a forced depth, both
+    interpolating-function routes and tails at every alpha above, with |y|
+    up to 40 on the imaginary axis, and the inverse, sine and row helpers."""
+    rng = random.Random(1998)
+    calls = []
+
+    def add(fn, *args):
+        calls.append((f"{fn.__name__}{args!r}", lambda: fn(*args)))
+
+    for method in ("series", "asymptotic", "auto"):
+        for x in [rng.uniform(-60.0, 220.0) for _ in range(40)] + [
+                -1301.0, -0.0, 0.0, 1e-3, 30.0, 1300.0, 1e300]:
+            add(epsilon_num, x, method)
+        for n in (0, 1, 5, 20, 100, 400):
+            add(epsilon_num, rng.uniform(0.5, 60.0), method, n)
+    add(epsilon_num, 1.0, "nope")
+    for alpha in _LANE_ALPHAS:
+        for _ in range(8):
+            z = cmath.rect(rng.uniform(0.0, 4.0), rng.uniform(-math.pi, math.pi))
+            add(ml_exp, alpha, z)
+        for y in [rng.uniform(-30.0, 30.0) for _ in range(4)]:
+            add(ml_exp, alpha, complex(0.0, y))
+        for x in (rng.uniform(-30.0, 30.0), 31.0, -27.0):
+            add(ml_exp, alpha, x)
+        ys = [rng.uniform(8.0, 12.0) * rng.choice((-1, 1)) for _ in range(6)]
+        ys += [rng.uniform(-40.0, 40.0) for _ in range(6)] + [40.0, -40.0, 0.5]
+        for y in ys:
+            add(ml_asymptotic, alpha, complex(0.0, y))
+        for _ in range(6):
+            add(ml_asymptotic, alpha, cmath.rect(rng.uniform(0.5, 40.0),
+                                                 rng.uniform(-math.pi, math.pi)))
+        for x in (-12.0, rng.uniform(-40.0, -0.5), -40.0):
+            add(ml_asymptotic, alpha, x)
+        for n in (1, 2, 9, 30, 150, 1500):
+            add(ml_asymptotic, alpha, complex(0.0, rng.uniform(-40.0, 40.0)), n)
+            add(ml_asymptotic, alpha, -rng.uniform(0.5, 40.0), n)
+    for _ in range(30):
+        z = cmath.rect(rng.uniform(0.5, 40.0), rng.uniform(-math.pi, math.pi))
+        add(asymptotic_tail, z)
+        add(asymptotic_tail, z, rng.choice((0, 1, 4, 25, 300)))
+    for x in [rng.uniform(-26.0, 26.0) for _ in range(20)] + [27.0]:
+        add(sin_half, x)
+    for y in [10.0 ** rng.uniform(-3.0, 1.7) for _ in range(24)] + [
+            1.0, 0.0, -1.0, math.inf]:
+        add(epsilon_inverse, y)
+    add(epsilon_rows, [rng.uniform(-50.0, 2000.0) for _ in range(40)])
+    return calls
+
+
+def _lane_digest() -> str:
+    h = hashlib.sha256()
+    for label, thunk in _lane_calls():
+        try:
+            out = repr(thunk())
+        except Exception as exc:  # the refusals are part of the lane
+            out = f"!{type(exc).__name__}: {exc}"
+        h.update(f"{label} -> {out}\n".encode())
+    return h.hexdigest()
+
+
+# sha256 over the grid above.  Every value, error, method and term count
+# must stay the same double: a change that moves any of them by one ulp
+# shows here.  The doubles come from the C library's exp, log and erfc, so a
+# platform whose libm rounds these differently needs a digest taken at a
+# known-good commit.
+FROZEN_LANE_SHA256 = (
+    "19cc58d65e855f6c3266f1bd8c15b9883dba4a6b03a9a1892e0159fef2f4c629")
+
+
+def test_frozen_lane_digest():
+    assert _lane_digest() == FROZEN_LANE_SHA256

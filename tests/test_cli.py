@@ -530,14 +530,42 @@ class TestEpsilonTable:
         assert run("epsilon-table", "--points", "1").exit_code == 2
         assert run("epsilon-table", "--x-min", "-1", "--x-max", "1").exit_code == 2
 
-    @pytest.mark.parametrize("x_min,x_max", [("-inf", "inf"), ("0", "inf"),
-                                             ("-1e308", "1e308")])
+    @pytest.mark.parametrize("x_min,x_max", [("-inf", "inf"), ("0", "inf")])
     def test_nan_grid_point_exits_two(self, x_min, x_max):
-        # the linear step overflows, so the grid holds a NaN, on which the
-        # series loop never ended
+        # an infinite bound would put a NaN in the linear grid, on which the
+        # series loop never ended; it is refused before any grid is formed
+        bad = "--x-min" if x_min == "-inf" else "--x-max"
         r = run("epsilon-table", "--x-min", x_min, "--x-max", x_max,
                 "--points", "3", "--linear")
-        assert r.exit_code == 2 and "undefined at NaN" in r.stderr
+        assert r.exit_code == 2 and f"{bad} must be finite" in r.stderr
+
+    def test_linear_grid_whose_span_overflows(self):
+        # x_max - x_min overflows, so the grid is formed in halves
+        r = run("epsilon-table", "--x-min", "-1e308", "--x-max", "1e308",
+                "--points", "3", "--linear")
+        assert r.exit_code == 0
+        assert [line.split(",")[0] for line in r.stdout.splitlines()[1:]] == [
+            "-1e+308", "0.0", "1e+308"]
+
+    @pytest.mark.parametrize("x_min,points", [("-1.7976931348623157e308", "7"),
+                                              ("-1e306", "4")])
+    def test_linear_grid_ends_at_the_largest_double(self, x_min, points):
+        # in halves, the top point rounds past the largest double
+        top = "1.7976931348623157e308"
+        r = run("epsilon-table", "--x-min", x_min, "--x-max", top,
+                "--points", points, "--linear")
+        assert r.exit_code == 0
+        xs = [float(line.split(",")[0]) for line in r.stdout.splitlines()[1:]]
+        assert xs[0] == float(x_min) and xs[-1] == float(top)
+        assert len(xs) == int(points) and xs == sorted(set(xs))
+
+    def test_linear_grid_points_unchanged(self):
+        # ordinary grids keep x_min + i*step: a blend of the two bounds
+        # would give the midpoint 0.39999999999999997
+        out = run("epsilon-table", "--x-min", "0.1", "--x-max", "0.7",
+                  "--points", "3", "--linear").stdout.splitlines()
+        assert [line.split(",")[0] for line in out[1:]] == ["0.1", "0.4",
+                                                             "0.7"]
 
 
 # ---------------------------------------------------------------------------
