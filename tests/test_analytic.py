@@ -207,12 +207,14 @@ class TestGenericAlphaTail:
             b = asymptotic_tail(z)
             assert abs(complex(a.value) - complex(b.value)) <= 1e-14
 
-    def test_pole_detection_is_exact(self):
-        # alpha = 1/3: poles at multiples of 3 only.
-        got = ml_asymptotic(Fraction(1, 3), -12.0, 9)
+    @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(2, 3),
+                                       Fraction(4, 3)], ids=str)
+    def test_pole_detection_is_exact(self, alpha):
+        # poles where alpha*n - 1 is a non-negative integer, only there
+        got = ml_asymptotic(alpha, -12.0, 9)
         naive = 0.0
         for n in range(1, 10):
-            e = 1 - Fraction(1, 3) * n
+            e = 1 - alpha * n
             if e.denominator == 1 and e <= 0:
                 continue
             naive += -((-12.0) ** -n) / math.gamma(float(e))

@@ -518,6 +518,12 @@ class TestEpsilonTable:
         out = run("epsilon-table", "--x-min", "1", "--x-max", "3",
                   "--points", "3", "--linear").stdout.splitlines()
         assert out[2].startswith("2.0,")
+        # the points are x_min + i*step: a blend of the two bounds would
+        # give the midpoint 0.39999999999999997 here
+        out = run("epsilon-table", "--x-min", "0.1", "--x-max", "0.7",
+                  "--points", "3", "--linear").stdout.splitlines()
+        assert [line.split(",")[0] for line in out[1:]] == ["0.1", "0.4",
+                                                             "0.7"]
 
     def test_output_file(self, tmp_path):
         dest = tmp_path / "eps.csv"
@@ -558,14 +564,6 @@ class TestEpsilonTable:
         xs = [float(line.split(",")[0]) for line in r.stdout.splitlines()[1:]]
         assert xs[0] == float(x_min) and xs[-1] == float(top)
         assert len(xs) == int(points) and xs == sorted(set(xs))
-
-    def test_linear_grid_points_unchanged(self):
-        # ordinary grids keep x_min + i*step: a blend of the two bounds
-        # would give the midpoint 0.39999999999999997
-        out = run("epsilon-table", "--x-min", "0.1", "--x-max", "0.7",
-                  "--points", "3", "--linear").stdout.splitlines()
-        assert [line.split(",")[0] for line in out[1:]] == ["0.1", "0.4",
-                                                             "0.7"]
 
 
 # ---------------------------------------------------------------------------
