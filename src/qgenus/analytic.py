@@ -345,7 +345,12 @@ def ml_asymptotic(alpha, z, n_terms: int | None = None) -> FloatEval:
         else:
             arg = num / q           # correctly rounded, as float(Fraction)
             power = zc ** -n
-            gamma = math.gamma(arg)
+            try:
+                gamma = math.gamma(arg)
+            except ValueError:  # a float alpha rounded 1 - alpha*n onto a pole
+                raise DomainError(f"1 - {n}*alpha rounds onto a pole of Gamma "
+                                  f"at alpha = {alpha!r}; pass alpha as an "
+                                  "exact fraction") from None
             if power and gamma:
                 term = -power / gamma
             else:

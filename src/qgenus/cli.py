@@ -28,7 +28,10 @@ commands.  Multiplication is always explicit.  Partitions are
 comma-separated part lists like ``"3,2,1"``.  Weights are capped at 28
 (``q_k``, ``p_k`` and ``h_k`` weigh k, ``x_k`` weighs 2k+1): a symbol,
 product, power or partition above that is a usage error, and so is
-nesting parentheses and minus signs more than 100 deep.
+nesting parentheses and minus signs more than 100 deep.  The ``x-basis``
+of ``qreduce``, ``qfunction`` and ``inner`` is evaluated in the x_k
+directly: q -> x is a weight-preserving algebra isomorphism, so both
+sides print one element and the ceiling refuses the same inputs.
 """
 
 from __future__ import annotations
@@ -191,19 +194,30 @@ class _Parser:
                         if txt else "unexpected end of expression")
 
 
-def _q_symbol(name: str, pos: int) -> QElement:
-    from .qfunctions import QElement, x_in_q
-    m = re.fullmatch(r"q(\d+)", name)
-    if m:
-        k = int(m.group(1))
-        _bound_weight(k, pos)
-        return QElement.one() if k == 0 else QElement.gen(k)
-    m = re.fullmatch(r"x(\d+)", name)
-    if m:
-        k = int(m.group(1))
-        _bound_weight(2 * k + 1, pos)  # x_k has weight 2k + 1
-        return x_in_q(k)
-    raise ExprError(pos, f"unknown symbol {name!r} (expected q<k> or x<k>)")
+def _q_symbol(q, x):
+    """The square-free symbol callback: ``q<k>`` maps to q(k) and ``x<k>``
+    to x(k), once the symbol's weight is checked."""
+    def symbol(name: str, pos: int):
+        m = re.fullmatch(r"([qx])(\d+)", name)
+        if not m:
+            raise ExprError(pos, f"unknown symbol {name!r} "
+                                 "(expected q<k> or x<k>)")
+        k = int(m[2])
+        _bound_weight(k if m[1] == "q" else 2 * k + 1, pos)  # x_k weighs 2k+1
+        return (q if m[1] == "q" else x)(k)
+    return symbol
+
+
+def _square_free(in_x: bool):
+    """(const, symbol) callbacks for the square-free grammar: the
+    strict-partition basis, or with ``in_x`` the odd coordinates x_k."""
+    from .qfunctions import QElement, q_in_x, x_in_q
+    from .rings import SparsePoly, UX
+    if in_x:
+        return (lambda c: SparsePoly.const(UX, c),
+                _q_symbol(q_in_x, lambda k: SparsePoly.gen(UX, k)))
+    return (lambda c: QElement.monomial((), c),
+            _q_symbol(lambda k: QElement.monomial((k,)), x_in_q))
 
 
 def _p_symbol(name: str, pos: int) -> SparsePoly:
@@ -233,10 +247,9 @@ def _parse_expr(src: str, const, symbol, what: str):
             f"parse error in {what} at position {e.pos}: {e.msg}") from e
 
 
-def parse_q_expr(src: str, what: str = "expression") -> QElement:
-    from .qfunctions import QElement
-    return _parse_expr(src, lambda c: QElement.monomial((), c),
-                       _q_symbol, what)
+def parse_q_expr(src: str, what: str = "expression", in_x: bool = False):
+    """EXPR in the strict-partition basis, or ``in_x`` in the x_k."""
+    return _parse_expr(src, *_square_free(in_x), what)
 
 
 def parse_p_expr(src: str, what: str = "expression") -> SparsePoly:
@@ -401,7 +414,7 @@ def qreduce(obj, expr):
     Example: qreduce "q1^2" prints 2*q2.
     """
     e = parse_q_expr(expr)
-    x = repr(e.to_x())
+    x = repr(parse_q_expr(expr, in_x=True))
     _emit(obj["fmt"], "qreduce", pretty=[repr(e), f"x-basis: {x}"],
           obj={"q_basis": repr(e), "x_basis": x})
 
@@ -412,10 +425,10 @@ def qreduce(obj, expr):
 def qfunction(obj, partition):
     """The orthogonal basis element indexed by a strict PARTITION
     ("3,2,1"), expanded in the square-free generators."""
-    from .qfunctions import classical_q
+    from .qfunctions import classical_q, x_pair
     lam = _parse_partition(partition)
     e = classical_q(lam)
-    x = repr(e.to_x())
+    x = repr(classical_q(lam, x_pair))
     _emit(obj["fmt"], "qfunction", pretty=[repr(e), f"x-basis: {x}"],
           obj={"partition": list(lam), "q_basis": repr(e), "x_basis": x})
 
@@ -430,9 +443,8 @@ def inner_cmd(obj, left, right):
     Example: inner "q1" "q1" prints 2.
     """
     from .qfunctions import inner_x
-    a = parse_q_expr(left, "LEFT")
-    b = parse_q_expr(right, "RIGHT")
-    ax, bx = a.to_x(), b.to_x()
+    ax = parse_q_expr(left, "LEFT", in_x=True)
+    bx = parse_q_expr(right, "RIGHT", in_x=True)
     v = inner_x(ax, bx)
     if obj["verbosity"]:
         click.echo(f"x-basis: left = {ax!r}, right = {bx!r}", err=True)
@@ -515,20 +527,14 @@ def intersection(obj, max_weight, no_cache, audit):
             sys.exit(1)
 
 
-def _x_monomials(bound: int):
-    """Every monomial in the odd coordinates of weight <= bound, the
+def _x_monomials(bound: int, k: int = 0):
+    """Every monomial in x_k, x_(k+1), ... of weight <= bound, the
     constant included, keyed by smallest generator (no repeats)."""
-    def rec(k, rem):
-        yield {}
-        kk = k
-        while 2 * kk + 1 <= rem:
-            for e in range(1, rem // (2 * kk + 1) + 1):
-                for rest in rec(kk + 1, rem - e * (2 * kk + 1)):
-                    d = {kk: e}
-                    d.update(rest)
-                    yield d
-            kk += 1
-    yield from rec(0, bound)
+    yield {}
+    for j in range(k, (bound + 1) // 2):
+        for e in range(1, bound // (2 * j + 1) + 1):
+            for rest in _x_monomials(bound - e * (2 * j + 1), j + 1):
+                yield {j: e, **rest}
 
 
 @cli.command("virasoro-check")

@@ -318,13 +318,7 @@ def antipode(e: QElement) -> QElement:
     """q_n -> (-1)^n q_n extended multiplicatively (the inverse series
     coefficientwise, since q(U)q(-U) = 1)."""
     out = QElement()
-    for part, c in e.terms.items():
-        sign = (-1) ** sum(part)
-        v = out.terms.get(part, Fraction(0)) + sign * c
-        if v:
-            out.terms[part] = v
-        elif part in out.terms:
-            del out.terms[part]
+    out.terms = {p: -c if sum(p) % 2 else c for p, c in e.terms.items()}
     return out
 
 
@@ -338,7 +332,7 @@ def q_in_x(n: int) -> SparsePoly:
     logq = TruncatedSeries.univariate(
         "U",
         {2 * k + 1: Fraction(2, 2 * k + 1) * SparsePoly.gen(UX, k)
-         for k in range(n // 2 + 1)},
+         for k in range((n + 1) // 2)},
         n)
     q_series = logq.exp()
     c = q_series.coefficient(n)
@@ -400,53 +394,48 @@ def inner(a: QElement, b: QElement) -> Fraction:
 
 # -------------------------------------------------------- classical family
 
-def two_row(r: int, s: int) -> QElement:
-    """The orthogonal family member for a two-row strict partition (r, s):
+def q_pair(a: int, b: int, c=1) -> QElement:
+    """c*q_a*q_b in the strict-partition basis (q_0 = 1)."""
+    return QElement.monomial((a, b), c)
+
+
+def x_pair(a: int, b: int, c=1) -> SparsePoly:
+    """c*q_a*q_b in the odd coordinates x_k (q_0 = 1)."""
+    return q_in_x(a) * q_in_x(b) * c
+
+
+def two_row(r: int, s: int, pair=q_pair):
+    """The orthogonal family member for a two-row strict partition (r, s),
+    in the ring of ``pair`` (s = 0 gives q_r):
     q_r q_s + 2 sum_{i=1}^{s} (-1)^i q_(r+i) q_(s-i)."""
-    if not (r > s >= 1):
-        raise DomainError(f"need r > s >= 1, got ({r}, {s})")
-    out = QElement.monomial((r, s))
+    if not (r > s >= 0):
+        raise DomainError(f"need r > s >= 0, got ({r}, {s})")
+    out = pair(r, s)
     for i in range(1, s + 1):
-        parts = (r + i,) if i == s else (r + i, s - i)
-        out = out + QElement.monomial(parts, 2 * (-1) ** i)
+        out = out + pair(r + i, s - i, 2 * (-1) ** i)
     return out
 
 
-def _pfaffian(entry, items: tuple[int, ...]) -> QElement:
-    if not items:
-        return QElement.one()
+def _pfaffian(entry, items: tuple[int, ...], pair):
+    if len(items) <= 2:
+        return entry(*items) if items else pair(0, 0)
     head, rest = items[0], items[1:]
-    out = QElement.zero()
-    for pos, j in enumerate(rest):
-        sign = (-1) ** pos
-        sub = rest[:pos] + rest[pos + 1:]
-        out = out + sign * entry(head, j) * _pfaffian(entry, sub)
-    return out
+    return sum(((-1) ** pos * entry(head, j)
+                * _pfaffian(entry, rest[:pos] + rest[pos + 1:], pair)
+                for pos, j in enumerate(rest)), pair(0, 0, 0))
 
 
-def classical_q(lam: Iterable[int]) -> QElement:
+def classical_q(lam: Iterable[int], pair=q_pair):
     """The classical orthogonal basis element for a strict partition,
     assembled from two-row members by a Pfaffian (odd lengths are padded
-    with a zero part, contributing plain generators)."""
+    with a zero part, contributing plain generators), in the ring of
+    ``pair``: ``q_pair`` (the default) or ``x_pair``."""
     lam = tuple(lam)
     if not is_strict(lam) or any(p < 1 for p in lam):
         raise DomainError(f"{lam} is not a strict partition")
-    n = len(lam)
-    if n == 0:
-        return QElement.one()
-    if n == 1:
-        return QElement.gen(lam[0])
-    if n == 2:
-        return two_row(*lam)
-    padded = lam + ((0,) if n % 2 else ())
-
-    def entry(i: int, j: int) -> QElement:
-        a, b = padded[i], padded[j]
-        if b == 0:
-            return QElement.gen(a)
-        return two_row(a, b)
-
-    return _pfaffian(entry, tuple(range(len(padded))))
+    padded = lam + ((0,) if len(lam) % 2 else ())
+    return _pfaffian(lambda i, j: two_row(padded[i], padded[j], pair),
+                     tuple(range(len(padded))), pair)
 
 
 def strict_partitions(weight: int, max_part: int | None = None):

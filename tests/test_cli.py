@@ -17,11 +17,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from qgenus.cli import ExprError, cli, parse_p_expr, parse_q_expr
+from qgenus.cli import (ExprError, _Parser, _square_free, cli, parse_p_expr,
+                        parse_q_expr)
 from qgenus.qfunctions import QElement
 from qgenus.rings import SparsePoly, UPS
 from qgenus.series import TruncatedSeries
@@ -76,22 +78,23 @@ class TestGrammar:
         ("q29", 0),
     ])
     def test_errors_carry_positions(self, src, pos):
-        with pytest.raises(ExprError) as err:
-            from qgenus.cli import _Parser, _q_symbol
-            _Parser(src, lambda c: QElement.monomial((), c), _q_symbol).parse()
-        assert err.value.pos == pos
+        for in_x in (False, True):  # both sides refuse at the same place
+            with pytest.raises(ExprError) as err:
+                _Parser(src, *_square_free(in_x)).parse()
+            assert err.value.pos == pos
 
     def test_nesting_up_to_the_depth_limit(self):
-        from qgenus.cli import _Parser, _q_symbol
-        assert parse_q_expr("(" * 100 + "q1" + ")" * 100) == QElement.gen(1)
-        assert parse_q_expr("-" * 100 + "q1") == QElement.gen(1)
-        # parentheses and minus signs count together
-        for src, pos in (("(" * 101 + "q1" + ")" * 101, 100),
-                         ("-" * 101 + "q1", 100), ("(-" * 51 + "q1", 100)):
-            with pytest.raises(ExprError, match="more than 100 nested") as err:
-                _Parser(src, lambda c: QElement.monomial((), c),
-                        _q_symbol).parse()
-            assert err.value.pos == pos
+        for in_x in (False, True):
+            q1 = QElement.gen(1).to_x() if in_x else QElement.gen(1)
+            assert parse_q_expr("(" * 100 + "q1" + ")" * 100, in_x=in_x) == q1
+            assert parse_q_expr("-" * 100 + "q1", in_x=in_x) == q1
+            # parentheses and minus signs count together
+            for src, pos in (("(" * 101 + "q1" + ")" * 101, 100),
+                             ("-" * 101 + "q1", 100), ("(-" * 51 + "q1", 100)):
+                with pytest.raises(ExprError,
+                                   match="more than 100 nested") as err:
+                    _Parser(src, *_square_free(in_x)).parse()
+                assert err.value.pos == pos
 
     def test_series_renderer(self):
         ts = TruncatedSeries.univariate(
@@ -917,6 +920,21 @@ def _command():
                        {"gram": t[0]})))
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_Q_EXPR)
+def test_x_side_parse_is_the_image_of_the_q_side(src):
+    """``QElement.to_x`` is the oracle of the x-side evaluation; an input
+    one side refuses, the other refuses with the same message."""
+    try:
+        want = repr(parse_q_expr(src).to_x())
+    except click.UsageError as e:
+        with pytest.raises(click.UsageError) as err:
+            parse_q_expr(src, in_x=True)
+        assert err.value.message == e.message
+    else:
+        assert repr(parse_q_expr(src, in_x=True)) == want
+
+
 @settings(max_examples=1000, derandomize=True, deadline=None)
 @given(st.lists(_mostly(st.sampled_from([["-f", "json"], ["-f", "csv"],
                                          ["-v"]]), st.just(["-f", "xml"])),
@@ -1272,6 +1290,8 @@ def test_cap_ladder(argv, budget, digest, rss_mb, exit_code, tmp_path):
 @pytest.mark.parametrize("argv,layers", [
     (("--help",), set()),
     (("qreduce", "q1^2"), {"qfunctions", "rings", "series"}),
+    (("inner", "q1", "q1"), {"qfunctions", "rings", "series"}),
+    (("qfunction", "2,1"), {"qfunctions", "rings", "series"}),
     (("intersection", "--max-weight", "4"), {"rings", "virasoro"}),
     (("virasoro-check", "--m", "1", "--n", "-1", "--max-weight", "2"),
      {"rings", "virasoro"}),
@@ -1284,8 +1304,9 @@ def test_cap_ladder(argv, budget, digest, rss_mb, exit_code, tmp_path):
      {"rings", "series", "witt"}),
     (("voa", "lattice", "--gram", "@gram", "--point", "1,0"),
      {"rings", "series", "witt"})],
-    ids=["help", "qreduce", "intersection", "virasoro-check", "kw", "fgl",
-         "ml", "epsilon-table", "witt", "voa-y-check", "voa-lattice"])
+    ids=["help", "qreduce", "inner", "qfunction", "intersection",
+         "virasoro-check", "kw", "fgl", "ml", "epsilon-table", "witt",
+         "voa-y-check", "voa-lattice"])
 def test_each_command_loads_only_its_layers(argv, layers, tmp_path):
     """A fresh ``-m qgenus.cli`` child, with ``-X importtime`` listing
     every module it imports."""
@@ -1355,11 +1376,9 @@ def test_readme_examples_run_verbatim(argv, expected, tmp_path):
 # ---------------------------------------------------------------------------
 
 # rungs that take over about a second; every other rung runs again below
-_LONG_RUNGS = {"kw-cpn-12", "inner-28", "inner-28-json", "qreduce-28",
-               "qreduce-28-json", "qfunction-28", "qfunction-28-json",
-               "y-check-ceiling", "y-check-ceiling-json", "y-check-six-sum",
-               "y-check-six-sum-json", "epsilon-table-10000",
-               "epsilon-table-10000-json"}
+_LONG_RUNGS = {"kw-cpn-12", "y-check-ceiling", "y-check-ceiling-json",
+               "y-check-six-sum", "y-check-six-sum-json",
+               "epsilon-table-10000", "epsilon-table-10000-json"}
 
 # runs a JSON list of argv in one process through CliRunner, twice (the
 # second pass in reverse, so that each command follows all the others),
@@ -1435,3 +1454,28 @@ def test_output_does_not_depend_on_the_order_keys_were_first_used(tmp_path):
     assert reverse["slots"] == [[9, 0], [["z", 0], ["d", 6]]]
     assert usual.pop("slots") != reverse.pop("slots")
     assert usual == reverse
+
+
+# parses each q<k> and x<k> up to the weight ceiling on the x-side, twice,
+# and prints the x-universe's slot keys before the passes and after each
+_SLOTS = """
+import json, sys
+from qgenus.cli import parse_q_expr
+from qgenus.rings import UX
+seen = [list(UX.slots)]
+for _ in range(2):
+    for name in [f"q{k}" for k in range(29)] + [f"x{k}" for k in range(14)]:
+        parse_q_expr(name, in_x=True)
+    seen.append(list(UX.slots))
+json.dump(seen, sys.stdout)
+"""
+
+
+def test_x_side_parse_adds_one_slot_per_x_generator(tmp_path):
+    """``Universe.slots`` grows for the life of a process; the x-side
+    parse adds a slot for each of x_0 .. x_13 it uses, and only once."""
+    before, first, second = json.loads(subprocess.run(
+        [sys.executable, "-c", _SLOTS], capture_output=True, text=True,
+        env=_ladder_env(tmp_path), timeout=60, check=True).stdout)
+    assert first == before + [k for k in range(14) if k not in before]
+    assert second == first

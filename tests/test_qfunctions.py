@@ -15,7 +15,7 @@ from qgenus.qfunctions import (QElement, QTensor, antipode, classical_q,
                                coproduct, counit, eigen_universe, inner,
                                inner_x, lambda_duality_check, q_in_x,
                                q_reduce, strict_partitions, two_row, x_in_q,
-                               xpoly_to_q)
+                               x_pair, xpoly_to_q)
 from qgenus.rings import CycloRational, SparsePoly, UX
 from qgenus.series import TruncatedSeries
 
@@ -308,7 +308,7 @@ def test_two_row_member_is_the_known_one():
     assert repr(coproduct(classical_q((2, 1)))) == (
         "1*(1 (x) q2*q1) + -2*(1 (x) q3) + 1*(q1 (x) q2) + 1*(q2 (x) q1)"
         " + 1*(q2*q1 (x) 1) + -2*(q3 (x) 1)")
-    assert classical_q((4,)) == QElement.gen(4)
+    assert classical_q((4,)) == QElement.gen(4) == two_row(4, 0)
     assert classical_q(()) == QElement.one()
 
 
@@ -346,6 +346,13 @@ def test_classical_family_norms_and_orthogonality(weight):
         assert inner(fam[lam], fam[lam]) == 2 ** len(lam)
         for mu in lams[i + 1:]:
             assert inner(fam[lam], fam[mu]) == 0
+
+
+def test_classical_family_in_x_is_the_image_of_the_q_side():
+    # QElement.to_x is the oracle of the family formed in the x_k directly
+    for weight in range(15):
+        for lam in strict_partitions(weight):
+            assert classical_q(lam, x_pair) == classical_q(lam).to_x(), lam
 
 
 def test_classical_family_is_integral_and_unitriangular():
