@@ -21,7 +21,7 @@ Method tags
                 rational references in the tests)
 ``identity``    rewrite through the library error function / a scaled
                 Dawson-type convergent series
-``bisection``   root bracketing for the inverse of eps
+``newton``      bracketed Newton iteration for the inverse of eps
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import IO, Iterable, NamedTuple, Sequence
 from .errors import DomainError, TruncationError
 
 _EPS = 2.0 ** -52
+_ROUNDOFF = 4.0 * _EPS  # per unit of sum |term|: covers cancellation too
 _SQRT_PI = math.sqrt(math.pi)
 
 # Practicality cutoffs for the convergent series in doubles.  Beyond these
@@ -63,28 +64,12 @@ class FloatEval:
         return float(self.value)
 
 
-class _Kahan:
-    """Compensated accumulator; works for complex via componentwise carry."""
-
-    __slots__ = ("total", "_carry", "abs_sum")
-
-    def __init__(self) -> None:
-        self.total: complex = 0.0
-        self._carry: complex = 0.0
-        self.abs_sum: float = 0.0
-
-    def add(self, term: complex) -> None:
-        self.abs_sum += abs(term)
-        y = term - self._carry
-        t = self.total + y
-        self._carry = (t - self.total) - y
-        self.total = t
-
-
-def _roundoff(acc: _Kahan) -> float:
-    # Conservative allowance for accumulated rounding, including the
-    # cancellation case where abs_sum dwarfs the final total.
-    return 4.0 * _EPS * acc.abs_sum
+def _finite(z) -> complex:
+    """z as a complex; NaN or infinite parts would stall or poison a loop."""
+    zc = complex(z)
+    if not cmath.isfinite(zc):
+        raise DomainError(f"the lane needs a finite argument, got {z!r}")
+    return zc
 
 
 def _as_real_if(z0, value: complex):
@@ -117,7 +102,7 @@ def _ml_term(zc: complex, af: float, n: int) -> complex:
 def _ml_series(af: float, zc: complex, max_terms: int) -> FloatEval:
     if zc == 0:
         return FloatEval(1.0, 0.0, "series", 1)
-    acc = _Kahan()
+    total = carry = abs_sum = 0.0
     try:
         hump_end = abs(zc) ** (1.0 / af) + 8.0
     except OverflowError:
@@ -127,16 +112,18 @@ def _ml_series(af: float, zc: complex, max_terms: int) -> FloatEval:
     n = 0
     term = _ml_term(zc, af, 0)
     while True:
-        acc.add(term)
+        abs_sum += abs(term)
+        tsum = total + (adj := term - carry)
+        carry, total = (tsum - total) - adj, tsum
         n += 1
         if n > max_terms:
             raise TruncationError(
                 f"series for alpha={af} stalled after {max_terms} terms")
         term = _ml_term(zc, af, n)
-        if n >= hump_end and abs(term) <= 1e-18 * max(abs(acc.total), 1e-300):
+        if n >= hump_end and abs(term) <= 1e-18 * max(abs(total), 1e-300):
             break
-    err = abs(term) + _roundoff(acc)
-    return FloatEval(_as_real_if(zc, acc.total), err, "series", n)
+    err = abs(term) + _ROUNDOFF * abs_sum
+    return FloatEval(_as_real_if(zc, total), err, "series", n)
 
 
 def _dawson(y: float) -> float:
@@ -150,16 +137,17 @@ def _dawson(y: float) -> float:
     if y > _DAWSON_CUTOFF:
         raise DomainError(
             f"scaled Dawson series overflows doubles for |y| > {_DAWSON_CUTOFF}")
-    acc = _Kahan()
+    total = carry = 0.0
     power = y           # y^{2m+1} / m!
     m = 0
     while True:
-        acc.add(power / (2 * m + 1))
+        tsum = total + (adj := power / (2 * m + 1) - carry)
+        carry, total = (tsum - total) - adj, tsum
         power *= y * y / (m + 1)
         m += 1
-        if m > y * y + 8 and power <= 1e-18 * acc.total:
+        if m > y * y + 8 and power <= 1e-18 * total:
             break
-    return math.exp(-y * y) * acc.total.real
+    return math.exp(-y * y) * total.real
 
 
 def _exp_half_real(x: float) -> FloatEval:
@@ -196,7 +184,7 @@ def ml_exp(alpha, z, *, max_terms: int = 200_000) -> FloatEval:
     af = float(alpha)
     if not 0.0 < af < 2.0:
         raise DomainError(f"alpha must lie in (0, 2), got {alpha!r}")
-    zc = complex(z)
+    zc = _finite(z)
     if af == 1.0:
         if abs(zc) > _SERIES_CUTOFF_EXP:
             raise DomainError(
@@ -207,9 +195,7 @@ def ml_exp(alpha, z, *, max_terms: int = 200_000) -> FloatEval:
         if abs(zc) <= _SERIES_CUTOFF_HALF:
             return _ml_series(af, zc, max_terms)
         if zc.imag == 0.0:
-            out = _exp_half_real(zc.real)
-            return FloatEval(_as_real_if(z, out.value), out.error,
-                             out.method, out.terms)
+            return _exp_half_real(zc.real)
         if zc.real == 0.0:
             return _exp_half_imag(zc.imag)
         raise DomainError(
@@ -287,16 +273,18 @@ def asymptotic_tail(z, n_terms: int | None = None) -> FloatEval:
     (about the first omitted term in alternating sectors, up to ~1.5x it
     where the terms share a sign) plus accumulated roundoff.
     """
-    zc = complex(z)
+    zc = _finite(z)
     _check_sector(zc, math.pi / 4.0)
     ratio_base = -1.0 / (2.0 * zc * zc)
     rb = abs(ratio_base)
     term = -1.0 / (_SQRT_PI * zc)
-    acc = _Kahan()
+    total = carry = abs_sum = 0.0
     n = 0
     while True:
         nxt = term * (2 * n + 1) * ratio_base
-        acc.add(term)
+        abs_sum += abs(term)
+        tsum = total + (adj := term - carry)
+        carry, total = (tsum - total) - adj, tsum
         n += 1
         if n_terms is not None:
             if n > n_terms:
@@ -304,9 +292,9 @@ def asymptotic_tail(z, n_terms: int | None = None) -> FloatEval:
         elif abs(nxt) >= abs(term) or n > 5000:
             break
         term = nxt
-    err = _tail_estimate(abs(nxt), lambda k: (2 * k + 1) * rb, n) + _roundoff(acc)
-    _check_forced(n_terms, acc.total, err)
-    return FloatEval(_as_real_if(z, acc.total), err, "asymptotic", n)
+    err = _tail_estimate(abs(nxt), lambda k: (2 * k + 1) * rb, n) + _ROUNDOFF * abs_sum
+    _check_forced(n_terms, total, err)
+    return FloatEval(_as_real_if(z, total), err, "asymptotic", n)
 
 
 def ml_asymptotic(alpha, z, n_terms: int | None = None) -> FloatEval:
@@ -325,12 +313,12 @@ def ml_asymptotic(alpha, z, n_terms: int | None = None) -> FloatEval:
     af = Fraction(alpha)
     if not 0 < af < 2:
         raise DomainError(f"alpha must lie in (0, 2), got {alpha!r}")
-    zc = complex(z)
+    zc = _finite(z)
     _check_sector(zc, float(af) * math.pi / 2.0)
     if af == 1:
         return FloatEval(_as_real_if(z, 0.0 + 0.0j), 0.0, "asymptotic", 0)
     p, q = af.numerator, af.denominator
-    acc = _Kahan()
+    total = carry = abs_sum = 0.0
     last_mag = None
     n = 0
     kept = 0
@@ -372,14 +360,16 @@ def ml_asymptotic(alpha, z, n_terms: int | None = None) -> FloatEval:
                 omitted = mag
                 break
             last_mag = mag
-        acc.add(term)
+        abs_sum += mag
+        tsum = total + (adj := term - carry)
+        carry, total = (tsum - total) - adj, tsum
         kept = n
         omitted = mag
         if n > 5000:
             break
-    err = omitted + _roundoff(acc)
-    _check_forced(n_terms, acc.total, err)
-    return FloatEval(_as_real_if(z, acc.total), err, "asymptotic", kept)
+    err = omitted + _ROUNDOFF * abs_sum
+    _check_forced(n_terms, total, err)
+    return FloatEval(_as_real_if(z, total), err, "asymptotic", kept)
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +378,22 @@ def ml_asymptotic(alpha, z, n_terms: int | None = None) -> FloatEval:
 
 def sin_half(x: float) -> FloatEval:
     """Odd part sum_m (-1)^m x^{2m+1} / Gamma(3/2 + m), summed as written."""
-    xf = float(x)
+    xf = _finite(float(x)).real
     if abs(xf) > _DAWSON_CUTOFF:
         raise DomainError(
             f"alternating series overflows doubles for |x| > {_DAWSON_CUTOFF}")
-    acc = _Kahan()
+    total = carry = abs_sum = 0.0
     term = xf / math.gamma(1.5)
     m = 0
     while True:
-        acc.add(term)
+        abs_sum += abs(term)
+        tsum = total + (adj := term - carry)
+        carry, total = (tsum - total) - adj, tsum
         term *= -xf * xf / (1.5 + m)
         m += 1
-        if m > xf * xf + 8 and abs(term) <= 1e-18 * max(abs(acc.total), 1e-300):
+        if m > xf * xf + 8 and abs(term) <= 1e-18 * max(abs(total), 1e-300):
             break
-    return FloatEval(acc.total.real, abs(term) + _roundoff(acc), "series", m)
+    return FloatEval(total, abs(term) + _ROUNDOFF * abs_sum, "series", m)
 
 
 def epsilon_num(x, method: str = "auto", n_terms: int | None = None) -> FloatEval:
@@ -422,26 +414,29 @@ def epsilon_num(x, method: str = "auto", n_terms: int | None = None) -> FloatEva
             raise OverflowError(
                 f"series terms overflow doubles for |x| > "
                 f"{_EPSILON_SERIES_OVERFLOW}")
-        acc = _Kahan()
+        total = carry = abs_sum = 0.0
         term = 1.0
         n = 0
         while True:
-            acc.add(term)
+            abs_sum += abs(term)
+            tsum = total + (adj := term - carry)
+            carry, total = (tsum - total) - adj, tsum
             n += 1
             term *= -xf / (2 * n + 1)
-            if 2 * n + 1 > abs(xf) and abs(term) <= 1e-18 * max(abs(acc.total), 1e-300):
+            if 2 * n + 1 > abs(xf) and abs(term) <= 1e-18 * max(abs(total), 1e-300):
                 break
-        return FloatEval(acc.total.real, abs(term) + _roundoff(acc),
-                         "series", n)
+        return FloatEval(total, abs(term) + _ROUNDOFF * abs_sum, "series", n)
     if method == "asymptotic":
         if xf <= 0.0:
             raise DomainError("the positive-tail lane needs x > 0")
-        acc = _Kahan()
+        total = carry = abs_sum = 0.0
         term = 1.0 / xf
         n = 0
         while True:
             nxt = term * (2 * n + 1) / xf
-            acc.add(term)
+            abs_sum += abs(term)
+            tsum = total + (adj := term - carry)
+            carry, total = (tsum - total) - adj, tsum
             n += 1
             if n_terms is not None:
                 if n > n_terms:
@@ -449,25 +444,39 @@ def epsilon_num(x, method: str = "auto", n_terms: int | None = None) -> FloatEva
             elif nxt >= term or n > 5000:
                 break
             term = nxt
-        err = _tail_estimate(nxt, lambda k: (2 * k + 1) / xf, n) + _roundoff(acc)
-        _check_forced(n_terms, acc.total, err)
-        return FloatEval(acc.total.real, err, "asymptotic", n)
+        err = _tail_estimate(nxt, lambda k: (2 * k + 1) / xf, n) + _ROUNDOFF * abs_sum
+        _check_forced(n_terms, total, err)
+        return FloatEval(total, err, "asymptotic", n)
     raise DomainError(f"unknown method {method!r}")
+
+
+def _slope(x: float, eps_x: float) -> float:
+    """eps'(x) from 2x eps'(x) = 1 - (1 + x) eps(x), with eps'(0) = -1/3;
+    past x = 1e6 that difference cancels and the tail -(1 + 2/x)/x^2 wins."""
+    if abs(x) < 1e-6:
+        return -1.0 / 3.0
+    if x > 1e6:
+        return -(1.0 + 2.0 / x) / x / x
+    return (1.0 - (1.0 + x) * eps_x) / (2.0 * x)
 
 
 def epsilon_inverse(y: float, tol: float = 1e-12) -> FloatEval:
     """Solve eps(x) = y for the unique real x (eps is a decreasing bijection
     from the reals onto the positive reals with eps(0) = 1).
 
-    Bisection, seeded by the leading 1/x asymptotics when y is small.  The
-    error field is the final bracket half-width plus eps's own reported
-    error at the root divided by |eps'|.
+    Bracketed Newton iteration on log eps from x = 1/y (small y) or
+    3(1 - y), with eps' from eps itself; a step that leaves the bracket
+    bisects, and once a step is below tol/2 one probe tol past the root
+    closes it.  The error field is the final bracket half-width plus eps's
+    own reported error at the root divided by |eps'|.
     """
     yf = float(y)
     if yf <= 0.0 or not math.isfinite(yf):
         raise DomainError("eps only takes positive real values")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
     if yf == 1.0:
-        return FloatEval(0.0, 0.0, "bisection", 0)
+        return FloatEval(0.0, 0.0, "newton", 0)
     if yf < 1.0:
         if yf < 0.05:
             lo, hi = 0.4 / yf, 4.0 / yf    # eps(x) = 1/x + O(1/x^2)
@@ -483,22 +492,28 @@ def epsilon_inverse(y: float, tol: float = 1e-12) -> FloatEval:
             lo *= 2.0
             if lo < -_EPSILON_SERIES_OVERFLOW:
                 raise DomainError(f"y = {y!r} is beyond the evaluable range")
+    # eps is log-convex, so Newton from left of the root never overshoots
+    x = max(lo, 1.0 / yf if yf < 0.05 else 3.0 * (1.0 - yf))
     steps = 0
     while hi - lo > tol * max(1.0, abs(lo), abs(hi)) and steps < 200:
-        mid = 0.5 * (lo + hi)
-        if epsilon_num(mid).value > yf:
-            lo = mid
+        if not lo <= x < hi:
+            x = 0.5 * (lo + hi)
+        at = epsilon_num(x).value
+        if at > yf:
+            lo = x
         else:
-            hi = mid
+            hi = x
         steps += 1
+        step = math.log(at / yf) * at / _slope(x, at)   # Newton on log eps
+        if abs(step) < 0.5 * tol * max(1.0, abs(x)):
+            step = math.copysign(tol * max(1.0, abs(x)), yf - at)
+        x -= step
     mid = 0.5 * (lo + hi)
-    # eps's own error moves the root by about eps.error / |eps'(x)|, with
-    # eps' from 2x eps'(x) = 1 - (1 + x) eps(x) (eps'(0) = -1/3)
+    # eps's own error moves the root by about eps.error / |eps'(x)|
     at = epsilon_num(mid)
-    slope = (-1.0 / 3.0 if abs(mid) < 1e-6
-             else (1.0 - (1.0 + mid) * at.value) / (2.0 * mid))
-    err = (hi - lo) / 2.0 + tol * max(1.0, abs(mid)) + at.error / abs(slope)
-    return FloatEval(mid, err, "bisection", steps)
+    err = (hi - lo) / 2.0 + tol * max(1.0, abs(mid)) + at.error / abs(
+        _slope(mid, at.value))
+    return FloatEval(mid, err, "newton", steps)
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,19 @@ import csv
 import hashlib
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 import scipy.special as sp
 from hypothesis import given, strategies as st
 
+from qgenus import analytic
 from qgenus.analytic import (
     FloatEval,
     asymptotic_tail,
@@ -390,6 +395,13 @@ class TestEpsilon:
 # inversion
 # ---------------------------------------------------------------------------
 
+# the round-trip grid, and roots whose error field must cover the distance
+# to the 50-digit root (x ~ 30 sits in eps's lossy series stretch)
+_ROUNDTRIP_XS = [-8.0 + i for i in range(17)]
+_ROOT_YS = ([0.030049549344657756, 0.03397757592781982]
+            + [0.02 + 0.04 * k for k in range(25)])
+
+
 class TestEpsilonInverse:
     def test_fixed_point_one(self):
         got = epsilon_inverse(1.0)
@@ -402,8 +414,7 @@ class TestEpsilonInverse:
     def test_roundtrip_grid(self):
         # Tight roundtrips are honest only where eps is computed to near
         # machine precision; the series lane guarantees that for |x| <= 8.
-        for i in range(17):
-            x = -8.0 + i
+        for x in _ROUNDTRIP_XS:
             back = epsilon_inverse(epsilon_num(x).value)
             assert abs(back.value - x) <= 1e-10 * max(1.0, abs(x))
 
@@ -429,14 +440,88 @@ class TestEpsilonInverse:
                 lambda x: mpmath.hyp1f1(1, mpmath.mpf(3) / 2, -x / 2) - y,
                 mpmath.mpf(guess)))
 
-    @pytest.mark.parametrize(
-        "y", [0.030049549344657756, 0.03397757592781982]
-        + [0.02 + 0.04 * k for k in range(25)])
+    @pytest.mark.parametrize("y", _ROOT_YS)
     def test_error_covers_distance_to_root(self, y):
-        # the bisection width alone misses eps's own error, which dominates
+        # the bracket width alone misses eps's own error, which dominates
         # for small y (x ~ 1/y, where |eps'(x)| ~ 1/x^2 is small)
         got = epsilon_inverse(y)
         assert abs(got.value - self._root(y, got.value)) <= got.error
+
+    @pytest.mark.parametrize("y", [1e-8, 1e-16, 1e-17, 1e-30])
+    def test_tiny_y_past_the_slope_cancellation(self, y):
+        # past x = 1e6 the slope 1 - (1 + x) eps(x) cancels to nothing in
+        # doubles (it was 0.0 for y <= 1e-17, a ZeroDivisionError)
+        got = epsilon_inverse(y)
+        assert abs(got.value - self._root(y, got.value)) <= got.error
+        assert got.error <= 1e-9 * got.value
+
+    def test_work_ceiling(self, monkeypatch):
+        # a count of eps evaluations, not a time, so it holds on any host:
+        # the Newton iteration needs at most 12 per root on these grids,
+        # where bisection needed 42-49
+        eps = analytic.epsilon_num
+        ys = _ROOT_YS + [eps(x).value for x in _ROUNDTRIP_XS]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return eps(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "epsilon_num", counted)
+        for y in ys:
+            calls.clear()
+            epsilon_inverse(y)
+            assert len(calls) <= 14, (y, len(calls))
+
+    def test_tol_must_be_finite_and_positive(self):
+        for tol in (0.0, -1e-12, math.inf):
+            with pytest.raises(DomainError, match="tol"):
+                epsilon_inverse(0.5, tol)
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+_SRC = Path(analytic.__file__).resolve().parents[1]
+
+# Before the lane refused non-finite input, the first two of these never
+# returned, the next two raised TruncationError after 200,000 terms, the
+# tails answered NaN with a NaN error, and the inverse answered 32.0.
+_NON_FINITE = [
+    "sin_half(nan)",
+    "ml_exp(1/2, complex(0, nan))",
+    "ml_exp(1, nan)",
+    "ml_exp(3/2, complex(nan, 1))",
+    "ml_exp(1/2, nan)",
+    "ml_exp(1/2, -nan)",
+    "ml_exp(1/2, -inf)",
+    "asymptotic_tail(nan)",
+    "asymptotic_tail(complex(0, inf))",
+    "ml_asymptotic(1/2, complex(0, nan))",
+    "ml_asymptotic(1/2, complex(0, inf))",
+    "ml_asymptotic(1/2, -inf)",
+    "epsilon_inverse(0.5, tol=nan)",
+]
+
+
+@pytest.mark.parametrize("call", _NON_FINITE)
+def test_non_finite_input_is_a_domain_error(call):
+    # in a child with a time limit, so a loop that never ends fails the test
+    code = ("from math import inf, nan\n"
+            "from qgenus.analytic import *\n"
+            "from qgenus.errors import DomainError\n"
+            f"try:\n    print({call})\nexcept DomainError:\n    pass\n"
+            "else:\n    raise SystemExit('no DomainError')\n")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=str(_SRC) + (os.pathsep + path if path else ""))
+    try:
+        child = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{call} ran past 30 s")
+    assert child.returncode == 0, child.stdout + child.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -599,25 +684,42 @@ def _lane_calls():
     return calls
 
 
-def _lane_digest() -> str:
-    h = hashlib.sha256()
+def _lane_digests() -> dict[str, str]:
+    """sha256 per lane function over its lines of the grid above."""
+    hashes = {}
     for label, thunk in _lane_calls():
         try:
             out = repr(thunk())
         except Exception as exc:  # the refusals are part of the lane
             out = f"!{type(exc).__name__}: {exc}"
+        h = hashes.setdefault(label[:label.index("(")], hashlib.sha256())
         h.update(f"{label} -> {out}\n".encode())
-    return h.hexdigest()
+    return {name: h.hexdigest() for name, h in hashes.items()}
 
 
-# sha256 over the grid above.  Every value, error, method and term count
-# must stay the same double: a change that moves any of them by one ulp
-# shows here.  The doubles come from the C library's exp, log and erfc, so a
-# platform whose libm rounds these differently needs a digest taken at a
+# One sha256 per function over its lines of the grid above.  Every value,
+# error, method and term count must stay the same double: a change that
+# moves any of them by one ulp shows here, under the name of the function
+# that moved.  The doubles come from the C library's exp, log and erfc, so
+# a platform whose libm rounds these differently needs digests taken at a
 # known-good commit.
-FROZEN_LANE_SHA256 = (
-    "8b92701ff1ff184a8a695143f433179030117593d433ad3d30ce3a0e705822fc")
+FROZEN_LANE_SHA256 = {
+    "epsilon_num":
+        "2a40fef99749cd5dc015b5345075701ca857869daee6c52def7d6f07434595e3",
+    "ml_exp":
+        "9c320a9a87643cd0877e2801f1d77fbd85137c6a0dcff603b44593e723f72eda",
+    "ml_asymptotic":
+        "bddfff8f00e6edc4e918ccd947a75de2f9c9a3cb57ea793c35aad2a242e22838",
+    "asymptotic_tail":
+        "f78d06a63333adf7ef77fdc134a51681f3878a073d821daad8aecf1c1b051439",
+    "sin_half":
+        "84e3f8484ac17f9533c28bf11dc2f4df15c90effe0666f1219836a7af2d0a7fc",
+    "epsilon_inverse":
+        "0cc813ea2c802c8c5b457cd23f72d0bf8cde094a151fea0064b9fbe649de51e9",
+    "epsilon_rows":
+        "f636c8c8c2eda58045d41ed26abe03fe428b2539457a6c0594bcb6949c3b32a0",
+}
 
 
 def test_frozen_lane_digest():
-    assert _lane_digest() == FROZEN_LANE_SHA256
+    assert _lane_digests() == FROZEN_LANE_SHA256
