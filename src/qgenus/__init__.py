@@ -2,7 +2,7 @@
 class genus — factorial Schur-Q style generators, a twisted half-integer
 Virasoro action with intersection-number tables, the associated one-
 dimensional formal group laws, companion float asymptotics, and a big-Witt
-/ vertex-operator layer, with a click CLI on top.
+/ vertex-operator layer, with a command-line interface on top.
 
 Importing the package loads none of its modules: each name below is
 imported from its module on first use (PEP 562)."""

@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -47,10 +46,10 @@ _SERIES_CUTOFF_HALF = 3.5   # alpha = 1/2: hump e^{|z|^2} eats ~5 digits here
 _DAWSON_CUTOFF = 26.0       # scaled series overflows past exp(y^2) ~ 1e308
 _ERFC_OVERFLOW = 26.6       # exp(x^2) overflows for x above this
 _EPSILON_SERIES_OVERFLOW = 1300.0  # eps series hump ~ e^{x/2} vs 1e308
+_EPSILON_INVERSE_MIN = 1e-150  # below, eps' ~ -y^2 leaves the normal doubles
 
 
-@dataclass(frozen=True)
-class FloatEval:
+class FloatEval(NamedTuple):
     """A double-precision evaluation with a heuristic error bound."""
 
     value: complex | float
@@ -477,6 +476,8 @@ def epsilon_inverse(y: float, tol: float = 1e-12) -> FloatEval:
         raise DomainError(f"tol must be finite and positive, got {tol!r}")
     if yf == 1.0:
         return FloatEval(0.0, 0.0, "newton", 0)
+    if yf < _EPSILON_INVERSE_MIN:
+        raise DomainError(f"y = {y!r} is beyond the evaluable range")
     if yf < 1.0:
         if yf < 0.05:
             lo, hi = 0.4 / yf, 4.0 / yf    # eps(x) = 1/x + O(1/x^2)

@@ -8,7 +8,9 @@ stderr.  Exact rationals are serialized as ``p/q`` strings in JSON; CSV
 adds decimal approximations next to them.
 
 Each function imports the library names it uses in its own body, so a
-command loads only the layers it runs.
+command loads only the layers it runs.  Arguments are read by the standard
+``argparse``, one parser for the command that runs (``COMMANDS`` lists
+them all).
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage error
 (including unparseable expressions and domain violations), 3 internal
@@ -36,16 +38,16 @@ sides print one element and the ceiling refuses the same inputs.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import click
 
 from .errors import DomainError, IncompatibleOperands, TruncationError
 
@@ -66,9 +68,13 @@ _MAX_EXPR_WEIGHT = 28    # expression and qfunction partition weight
 _MAX_EXPR_DEPTH = 100    # nesting, well inside Python's recursion limit
 
 
+class UsageError(Exception):
+    """Bad input: the command exits 2 with the message on stderr."""
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
-        raise click.UsageError(msg)
+        raise UsageError(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +249,7 @@ def _parse_expr(src: str, const, symbol, what: str):
     try:
         return _Parser(src, const, symbol).parse()
     except ExprError as e:
-        raise click.UsageError(
+        raise UsageError(
             f"parse error in {what} at position {e.pos}: {e.msg}") from e
 
 
@@ -263,16 +269,16 @@ def _parse_partition(src: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(p.strip()) for p in src.split(","))
     except ValueError:
-        raise click.UsageError(
+        raise UsageError(
             f"partition {src!r} is not a comma-separated integer list"
         ) from None
     if not parts or any(p < 1 for p in parts):
-        raise click.UsageError("partition parts must be positive integers")
+        raise UsageError("partition parts must be positive integers")
     parts = tuple(sorted(parts, reverse=True))
     _require(sum(parts) <= _MAX_EXPR_WEIGHT, f"partition weight {sum(parts)} "
              f"is beyond the ceiling {_MAX_EXPR_WEIGHT}")
     if not is_strict(parts):
-        raise click.UsageError(
+        raise UsageError(
             f"partition {src!r} is not strict (parts must be distinct)")
     return parts
 
@@ -283,8 +289,8 @@ def _parse_list(src: str, what: str, kind=int) -> tuple:
         return tuple(kind(p.strip()) for p in src.split(","))
     except (ValueError, ZeroDivisionError):
         noun = "integer list" if kind is int else "list of rationals"
-        raise click.UsageError(f"{what} must be a comma-separated {noun} "
-                               f"(got {src!r})") from None
+        raise UsageError(f"{what} must be a comma-separated {noun} "
+                         f"(got {src!r})") from None
 
 
 def _parse_scalar(src: str, what: str):
@@ -296,7 +302,7 @@ def _parse_scalar(src: str, what: str):
     try:
         return float(src)
     except ValueError:
-        raise click.UsageError(f"{what} must be a number, got {src!r}") from None
+        raise UsageError(f"{what} must be a number, got {src!r}") from None
 
 
 def _parse_complex(src: str):
@@ -306,9 +312,9 @@ def _parse_complex(src: str):
     try:
         z = complex(text)
     except ValueError:
-        raise click.UsageError(f"cannot parse {src!r} as a number") from None
+        raise UsageError(f"cannot parse {src!r} as a number") from None
     if z != z or abs(z.real) == float("inf") or abs(z.imag) == float("inf"):
-        raise click.UsageError("z must be finite")
+        raise UsageError("z must be finite")
     return z.real if z.imag == 0.0 else z
 
 
@@ -334,80 +340,31 @@ def _emit_csv(header, rows) -> None:
     w.writerow(header)
     for row in rows:
         w.writerow(row)
-    click.echo(buf.getvalue(), nl=False)
+    print(buf.getvalue(), end="")
 
 
 def _emit(fmt: str, subcommand: str, *, pretty, obj, rows=None) -> None:
     if fmt == "json":
-        click.echo(json.dumps(obj, indent=2, sort_keys=True))
+        print(json.dumps(obj, indent=2, sort_keys=True))
     elif fmt == "csv":
         if rows is None:
-            raise click.UsageError(
+            raise UsageError(
                 f"'{subcommand}' has no CSV rendering; "
                 "use --format pretty or json")
         _emit_csv(*rows)
     else:
         for line in pretty:
-            click.echo(line)
-
-
-# ---------------------------------------------------------------------------
-# click plumbing
-# ---------------------------------------------------------------------------
-
-class _InternalError(click.ClickException):
-    exit_code = 3
-
-
-class _Cli(click.Group):
-    """Translates library errors into the documented exit codes."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (DomainError, TruncationError, IncompatibleOperands) as e:
-            raise click.UsageError(str(e)) from e
-        except click.ClickException:
-            raise
-        except (click.exceptions.Exit, click.exceptions.Abort):
-            raise
-        except (OSError, OverflowError) as e:  # a file; a float past range
-            raise click.UsageError(str(e)) from e
-        except Exception as e:  # anything else is a bug, not bad input
-            raise _InternalError(
-                f"internal error: {type(e).__name__}: {e}") from e
-
-
-@click.group(cls=_Cli, context_settings={"help_option_names": ["-h", "--help"]})
-@click.option("--format", "-f", "fmt",
-              type=click.Choice(["pretty", "json", "csv"]), default="pretty",
-              show_default=True, help="Output rendering for stdout.")
-@click.option("--verbose", "-v", "verbosity", count=True,
-              help="Add diagnostic notes on stderr.")
-@click.option("--cache-path", type=click.Path(dir_okay=False, path_type=Path),
-              default=None,
-              help="Intersection-table cache file.  [default: "
-                   "$QGENUS_CACHE_DIR/intersection.json or "
-                   "~/.cache/qgenus/intersection.json]")
-@click.pass_context
-def cli(ctx, fmt, verbosity, cache_path):
-    """Exact computations in the square-free symmetric-function algebra
-    and its friends: Virasoro constraints, intersection-number tables,
-    the odd formal group law, special-function evaluations, Witt vectors,
-    and vertex-operator checks."""
-    ctx.obj = {"fmt": fmt, "verbosity": verbosity, "cache_path": cache_path}
-
-
-main = cli
+            print(line)
 
 
 # ---------------------------------------------------------------------------
 # square-free algebra commands
 # ---------------------------------------------------------------------------
 
-@cli.command()
-@click.argument("expr")
-@click.pass_obj
+def _qreduce_args(add):
+    add("expr", metavar="EXPR")
+
+
 def qreduce(obj, expr):
     """Normal form of EXPR in the square-free basis.
 
@@ -419,9 +376,10 @@ def qreduce(obj, expr):
           obj={"q_basis": repr(e), "x_basis": x})
 
 
-@cli.command()
-@click.argument("partition")
-@click.pass_obj
+def _qfunction_args(add):
+    add("partition", metavar="PARTITION")
+
+
 def qfunction(obj, partition):
     """The orthogonal basis element indexed by a strict PARTITION
     ("3,2,1"), expanded in the square-free generators."""
@@ -433,10 +391,11 @@ def qfunction(obj, partition):
           obj={"partition": list(lam), "q_basis": repr(e), "x_basis": x})
 
 
-@cli.command("inner")
-@click.argument("left")
-@click.argument("right")
-@click.pass_obj
+def _inner_args(add):
+    add("left", metavar="LEFT")
+    add("right", metavar="RIGHT")
+
+
 def inner_cmd(obj, left, right):
     """The canonical inner product of two expressions.
 
@@ -447,7 +406,7 @@ def inner_cmd(obj, left, right):
     bx = parse_q_expr(right, "RIGHT", in_x=True)
     v = inner_x(ax, bx)
     if obj["verbosity"]:
-        click.echo(f"x-basis: left = {ax!r}, right = {bx!r}", err=True)
+        print(f"x-basis: left = {ax!r}, right = {bx!r}", file=sys.stderr)
     _emit(obj["fmt"], "inner", pretty=[str(v)],
           obj={"value": str(v), "left_x": repr(ax), "right_x": repr(bx)})
 
@@ -474,16 +433,17 @@ def _tau_label(K: tuple[int, ...]) -> str:
     return "<" + " ".join(bits) + ">"
 
 
-@cli.command()
-@click.option("--max-weight", "max_weight", type=int, required=True,
-              help="Emit every entry whose generating-function weight is "
-                   "at most this.")
-@click.option("--no-cache", is_flag=True,
-              help="Compute fresh; do not read or write the cache file.")
-@click.option("--audit", is_flag=True,
-              help="Audit every entry of the final table; faults go to "
-                   "stderr and exit 1.")
-@click.pass_obj
+def _intersection_args(add):
+    add("--max-weight", type=int, required=True,
+        help="Emit every entry whose generating-function weight is at most "
+             "this.")
+    add("--no-cache", action="store_true",
+        help="Compute fresh; do not read or write the cache file.")
+    add("--audit", action="store_true",
+        help="Audit every entry of the final table; faults go to stderr and "
+             "exit 1.")
+
+
 def intersection(obj, max_weight, no_cache, audit):
     """Closed intersection-number table, built by the annihilation
     recursion and persisted to a versioned JSON cache (atomic writes; a
@@ -502,8 +462,8 @@ def intersection(obj, max_weight, no_cache, audit):
         if not no_cache:
             _save_table(path, table)
     if obj["verbosity"] and not no_cache:
-        click.echo(f"cache: {path} (complete through degree "
-                   f"{table.complete_through})", err=True)
+        print(f"cache: {path} (complete through degree "
+              f"{table.complete_through})", file=sys.stderr)
     chosen = [(K, v) for K, v in sorted(table.entries())
               if correlator_weight(K) <= max_weight]
     _emit(
@@ -519,10 +479,10 @@ def intersection(obj, max_weight, no_cache, audit):
     if audit:
         faults = table_audit(table)
         for fault in faults:
-            click.echo(f"audit fault: {fault}", err=True)
-        click.echo(f"audit: {len(faults) or 'no'} faults in "
-                   f"{len(table.values)} entries through degree "
-                   f"{table.complete_through}", err=True)
+            print(f"audit fault: {fault}", file=sys.stderr)
+        print(f"audit: {len(faults) or 'no'} faults in "
+              f"{len(table.values)} entries through degree "
+              f"{table.complete_through}", file=sys.stderr)
         if faults:
             sys.exit(1)
 
@@ -537,13 +497,14 @@ def _x_monomials(bound: int, k: int = 0):
                 yield {j: e, **rest}
 
 
-@cli.command("virasoro-check")
-@click.option("--m", "m", type=int, required=True)
-@click.option("--n", "n", type=int, required=True)
-@click.option("--max-weight", "max_weight", type=int, default=6,
-              show_default=True,
-              help="Check the bracket on every monomial up to this weight.")
-@click.pass_obj
+def _virasoro_check_args(add):
+    add("--m", type=int, required=True)
+    add("--n", type=int, required=True)
+    add("--max-weight", type=int, default=6,
+        help="Check the bracket on every monomial up to this weight "
+             "(default: 6).")
+
+
 def virasoro_check(obj, m, n, max_weight):
     """Verify one bracket relation of the degree operators on the
     oscillator representation; prints the central term and exits
@@ -588,16 +549,17 @@ def _cleared_coefficient(k: int):
                         * SparsePoly.gen(UX, k))
 
 
-@cli.command()
-@click.option("--cpn", type=int, default=None,
-              help="Genus image of the degree-n projective space.")
-@click.option("--integrality", type=int, default=None, metavar="N",
-              help="Check integrality of the cleared exponential "
-                   "coefficients through T^N.")
-@click.option("--modp", type=int, default=None, metavar="P",
-              help="Check the mod-P vanishing cutoff of the cleared "
-                   "exponential coefficients.")
-@click.pass_obj
+def _kw_args(add):
+    add("--cpn", type=int, help="Genus image of the degree-n projective "
+                                "space.")
+    add("--integrality", type=int, metavar="N",
+        help="Check integrality of the cleared exponential coefficients "
+             "through T^N.")
+    add("--modp", type=int, metavar="P",
+        help="Check the mod-P vanishing cutoff of the cleared exponential "
+             "coefficients.")
+
+
 def kw(obj, cpn, integrality, modp):
     """The genus attached to the square-free algebra: projective-space
     images, integrality, and mod-p vanishing of its exponential."""
@@ -660,12 +622,12 @@ def kw(obj, cpn, integrality, modp):
         sys.exit(1)
 
 
-@cli.command()
-@click.option("--exp", "exp_file", required=True,
-              type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              help='JSON file {"order": N, "coefficients": {"1": "1", ...}} '
-                   "giving the exponential's T-coefficients.")
-@click.pass_obj
+def _fgl_args(add):
+    add("--exp", dest="exp_file", required=True, type=_file, metavar="FILE",
+        help='JSON file {"order": N, "coefficients": {"1": "1", ...}} giving '
+             "the exponential's T-coefficients.")
+
+
 def fgl(obj, exp_file):
     """Check the formal-group-law axioms of a user-supplied exponential
     and print its logarithm; exits nonzero if any axiom fails."""
@@ -683,7 +645,7 @@ def fgl(obj, exp_file):
         coeffs = {int(k): Fraction(v) for k, v in raw.items()}
     except (ValueError, KeyError, TypeError, AttributeError,
             ZeroDivisionError, RecursionError) as e:
-        raise click.UsageError(f"invalid exponential file: {e}") from e
+        raise UsageError(f"invalid exponential file: {e}") from e
     _require(1 <= order <= _MAX_LAW_ORDER,
              f"law order is capped at {_MAX_LAW_ORDER} (desk scale)")
     _require(all(1 <= k <= order for k in coeffs),
@@ -714,16 +676,17 @@ def fgl(obj, exp_file):
 # analytic commands
 # ---------------------------------------------------------------------------
 
-@cli.command()
-@click.option("--alpha", required=True, help="Index in (0, 2), e.g. 0.5.")
-@click.option("--z", "z_str", required=True,
-              help="Evaluation point; imaginary unit written i (e.g. 10i).")
-@click.option("--compare-asymptotic", is_flag=True,
-              help="Also evaluate the divergent tail and check agreement "
-                   "within the two reported error budgets.")
-@click.option("--n-terms", type=int, default=None,
-              help="Fixed tail length (default: optimal truncation).")
-@click.pass_obj
+def _ml_args(add):
+    add("--alpha", required=True, help="Index in (0, 2), e.g. 0.5.")
+    add("--z", dest="z_str", required=True, metavar="Z",
+        help="Evaluation point; imaginary unit written i (e.g. 10i).")
+    add("--compare-asymptotic", action="store_true",
+        help="Also evaluate the divergent tail and check agreement within "
+             "the two reported error budgets.")
+    add("--n-terms", type=int,
+        help="Fixed tail length (default: optimal truncation).")
+
+
 def ml(obj, alpha, z_str, compare_asymptotic, n_terms):
     """Evaluate the interpolating exponential at one point, optionally
     cross-checked against its asymptotic expansion."""
@@ -765,15 +728,18 @@ def ml(obj, alpha, z_str, compare_asymptotic, n_terms):
         sys.exit(1)
 
 
-@cli.command("epsilon-table")
-@click.option("--x-min", type=float, default=1.0, show_default=True)
-@click.option("--x-max", type=float, default=1e6, show_default=True)
-@click.option("--points", type=int, default=25, show_default=True)
-@click.option("--log/--linear", "log_spacing", default=True,
-              help="Geometric or arithmetic grid spacing.  [default: log]")
-@click.option("--output", type=click.Path(dir_okay=False, path_type=Path),
-              default=None, help="Write to a file instead of stdout.")
-@click.pass_obj
+def _epsilon_table_args(add):
+    add("--x-min", type=float, default=1.0, help="(default: 1.0)")
+    add("--x-max", type=float, default=1e6, help="(default: 1e6)")
+    add("--points", type=int, default=25, help="(default: 25)")
+    add("--log", dest="log_spacing", action="store_true", default=True,
+        help="Geometric grid spacing (the default).")
+    add("--linear", dest="log_spacing", action="store_false",
+        help="Arithmetic grid spacing.")
+    add("--output", type=_file, metavar="FILE",
+        help="Write to a file instead of stdout.")
+
+
 def epsilon_table(obj, x_min, x_max, points, log_spacing, output):
     """CSV table of the scaled-window integral: both evaluation lanes and
     the honest error bound at each grid point (for external plotters).
@@ -799,24 +765,17 @@ def epsilon_table(obj, x_min, x_max, points, log_spacing, output):
     if output is None:
         buf = io.StringIO()
         write_epsilon_csv(buf, xs)
-        click.echo(buf.getvalue(), nl=False)
+        print(buf.getvalue(), end="")
     else:
         with open(output, "w") as fh:
             write_epsilon_csv(fh, xs)
         if obj["verbosity"]:
-            click.echo(f"wrote {points} rows to {output}", err=True)
+            print(f"wrote {points} rows to {output}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
 # Witt-vector commands
 # ---------------------------------------------------------------------------
-
-@cli.group()
-def witt():
-    """Big-Witt-vector utilities: ghost coordinates, the diagonalized
-    product, and the square-free parity criterion.  Vectors are given as
-    the comma-separated coefficient list "h1,h2,..."."""
-
 
 def _witt_from(coeffs: str, order: int | None, what: str) -> WittVector:
     from .witt import WittVector
@@ -828,11 +787,13 @@ def _witt_from(coeffs: str, order: int | None, what: str) -> WittVector:
     return WittVector.from_coeffs({i + 1: c for i, c in enumerate(cs)}, n)
 
 
-@witt.command("ghost")
-@click.argument("coeffs")
-@click.option("--order", type=int, default=None,
-              help="Truncation order (default: the list length).")
-@click.pass_obj
+def _witt_vector_args(add):
+    add("coeffs", metavar="COEFFS",
+        help='The vector as its coefficient list "h1,h2,...".')
+    add("--order", type=int,
+        help="Truncation order (default: the list length).")
+
+
 def witt_ghost(obj, coeffs, order):
     """Ghost coordinates of the vector COEFFS."""
     from .witt import ghost
@@ -848,10 +809,11 @@ def witt_ghost(obj, coeffs, order):
                 [[n, str(g[n])] for n in range(1, h.order + 1)]))
 
 
-@witt.command("mul")
-@click.argument("left")
-@click.argument("right")
-@click.pass_obj
+def _witt_mul_args(add):
+    add("left", metavar="LEFT")
+    add("right", metavar="RIGHT")
+
+
 def witt_mul_cmd(obj, left, right):
     """Product of two vectors in the diagonalized ring structure."""
     from .witt import witt_mul
@@ -870,10 +832,6 @@ def witt_mul_cmd(obj, left, right):
                 [[i, str(c)] for i, c in enumerate(cs, start=1)]))
 
 
-@witt.command("qcheck")
-@click.argument("coeffs")
-@click.option("--order", type=int, default=None)
-@click.pass_obj
 def witt_qcheck(obj, coeffs, order):
     """Square-free parity criterion h(-T) = h(T)^(-1); exits nonzero
     with the residual when it fails."""
@@ -893,23 +851,18 @@ def witt_qcheck(obj, coeffs, order):
 # vertex-operator commands
 # ---------------------------------------------------------------------------
 
-@cli.group()
-def voa():
-    """Vertex operators on the tensor-square model: mode tables, the
-    multiplicativity check, root-of-unity closure, and lattice actions."""
+def _voa_y_check_args(add):
+    add("--b", dest="b_str", required=True, metavar="B",
+        help="First element (p/h mini-grammar).")
+    add("--bprime", dest="bp_str", required=True, metavar="BPRIME",
+        help="Second element (p/h mini-grammar).")
+    add("--window", type=int, default=6,
+        help="Compare mode entries for |z-exponent| up to this (default: 6).")
+    add("--weight-cap", type=int, default=6, help="(default: 6)")
+    add("--t", dest="t_str", default="0", metavar="T",
+        help="Deformation parameter (rational; default: 0).")
 
 
-@voa.command("y-check")
-@click.option("--b", "b_str", required=True,
-              help="First element (p/h mini-grammar).")
-@click.option("--bprime", "bp_str", required=True,
-              help="Second element (p/h mini-grammar).")
-@click.option("--window", type=int, default=6, show_default=True,
-              help="Compare mode entries for |z-exponent| up to this.")
-@click.option("--weight-cap", type=int, default=6, show_default=True)
-@click.option("--t", "t_str", default="0", show_default=True,
-              help="Deformation parameter (rational).")
-@click.pass_obj
 def voa_y_check(obj, b_str, bp_str, window, weight_cap, t_str):
     """Multiplicativity of the operator assignment on a product of two
     elements, compared entry by entry inside the window.  Exits nonzero
@@ -957,12 +910,14 @@ def _mapped_monomials(b: SparsePoly, bp: SparsePoly, cap: int) -> int:
     return n + sum(sum(e for _, e in m) <= cap for m in prod.monomials())
 
 
-@voa.command("table")
-@click.option("--n", "n", type=int, required=True,
-              help="Power-sum index of the operator.")
-@click.option("--t", "t_str", default="0", show_default=True)
-@click.option("--weight-cap", type=int, default=6, show_default=True)
-@click.pass_obj
+def _voa_table_args(add):
+    add("--n", type=int, required=True,
+        help="Power-sum index of the operator.")
+    add("--t", dest="t_str", default="0", metavar="T",
+        help="(default: 0)")
+    add("--weight-cap", type=int, default=6, help="(default: 6)")
+
+
 def voa_table(obj, n, t_str, weight_cap):
     """Laurent-coefficient table of one power-sum operator."""
     from .witt import vertex_Y_powersum, vertex_table_obj
@@ -978,12 +933,13 @@ def voa_table(obj, n, t_str, weight_cap):
           obj=table)
 
 
-@voa.command("closure")
-@click.option("--n", "n", type=int, required=True)
-@click.option("--order", "order", type=int, required=True,
-              help="Root-of-unity order for the deformation parameter.")
-@click.option("--weight-cap", type=int, default=8, show_default=True)
-@click.pass_obj
+def _voa_closure_args(add):
+    add("--n", type=int, required=True)
+    add("--order", type=int, required=True,
+        help="Root-of-unity order for the deformation parameter.")
+    add("--weight-cap", type=int, default=8, help="(default: 8)")
+
+
 def voa_closure(obj, n, order, weight_cap):
     """Does the operator stay inside the root-of-unity quotient?  Prime
     orders are computed on an exact cyclotomic table; composite orders
@@ -1009,16 +965,16 @@ def voa_closure(obj, n, order, weight_cap):
         sys.exit(1)
 
 
-@voa.command("lattice")
-@click.option("--gram", "gram_file", required=True,
-              type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              help="JSON Gram matrix ([[2]] or {\"gram\": [[2]]}).")
-@click.option("--point", "point_str", required=True,
-              help="Lattice point, e.g. \"1,0\".")
-@click.option("--target", "target_str", default=None,
-              help="Sector of the vacuum state acted on [default: origin].")
-@click.option("--weight-cap", type=int, default=4, show_default=True)
-@click.pass_obj
+def _voa_lattice_args(add):
+    add("--gram", dest="gram_file", required=True, type=_file, metavar="FILE",
+        help='JSON Gram matrix ([[2]] or {"gram": [[2]]}).')
+    add("--point", dest="point_str", required=True, metavar="POINT",
+        help='Lattice point, e.g. "1,0".')
+    add("--target", dest="target_str", metavar="TARGET",
+        help="Sector of the vacuum state acted on (default: origin).")
+    add("--weight-cap", type=int, default=4, help="(default: 4)")
+
+
 def voa_lattice(obj, gram_file, point_str, target_str, weight_cap):
     """Action of a lattice vertex operator on a sector vacuum: emits the
     Laurent table and runs the grading audit (exit nonzero on
@@ -1052,6 +1008,184 @@ def voa_lattice(obj, gram_file, point_str, target_str, weight_cap):
     _emit(obj["fmt"], "voa lattice", pretty=pretty, obj=table)
     if violations:
         sys.exit(1)
+
+
+# ---------------------------------------------------------------------------
+# the command table and the entry point
+# ---------------------------------------------------------------------------
+
+# name -> (one-line summary, argument builder, run function); a name with a
+# space is a subcommand of the group its first word names
+COMMANDS = {
+    "qreduce": ("Normal form of EXPR in the square-free basis.",
+                _qreduce_args, qreduce),
+    "qfunction": ("The orthogonal basis element of a strict PARTITION.",
+                  _qfunction_args, qfunction),
+    "inner": ("The canonical inner product of two expressions.",
+              _inner_args, inner_cmd),
+    "intersection": ("Closed intersection-number table, cached on disk.",
+                     _intersection_args, intersection),
+    "virasoro-check": ("Verify one bracket relation of the degree operators.",
+                       _virasoro_check_args, virasoro_check),
+    "kw": ("The genus attached to the square-free algebra.", _kw_args, kw),
+    "fgl": ("Check the formal-group-law axioms of an exponential.",
+            _fgl_args, fgl),
+    "ml": ("Evaluate the interpolating exponential at one point.",
+           _ml_args, ml),
+    "epsilon-table": ("CSV table of the scaled-window integral.",
+                      _epsilon_table_args, epsilon_table),
+    "witt ghost": ("Ghost coordinates of the vector COEFFS.",
+                   _witt_vector_args, witt_ghost),
+    "witt mul": ("Product of two vectors in the diagonalized ring structure.",
+                 _witt_mul_args, witt_mul_cmd),
+    "witt qcheck": ("Square-free parity criterion h(-T) = h(T)^(-1).",
+                    _witt_vector_args, witt_qcheck),
+    "voa y-check": ("Multiplicativity of the operator assignment.",
+                    _voa_y_check_args, voa_y_check),
+    "voa table": ("Laurent-coefficient table of one power-sum operator.",
+                  _voa_table_args, voa_table),
+    "voa closure": ("Does the operator stay inside the root-of-unity "
+                    "quotient?", _voa_closure_args, voa_closure),
+    "voa lattice": ("Action of a lattice vertex operator on a sector vacuum.",
+                    _voa_lattice_args, voa_lattice),
+}
+_GROUPS = {
+    "": "Exact computations in the square-free symmetric-function algebra "
+        "and its\nfriends: Virasoro constraints, intersection-number tables, "
+        "the odd formal\ngroup law, special-function evaluations, Witt "
+        "vectors, and vertex-operator\nchecks.",
+    "witt": "Big-Witt vectors: ghost coordinates, product, parity check.",
+    "voa": "Vertex operators: mode tables, products, closure, lattices.",
+}
+
+
+def _file(text: str) -> Path:
+    """A file's path; a directory is refused."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    return Path(text)
+
+
+def _group_args(add):
+    add("-f", "--format", dest="fmt", choices=("pretty", "json", "csv"),
+        default="pretty", metavar="{pretty,json,csv}",
+        help="Output rendering for stdout (default: pretty).")
+    add("-v", "--verbose", dest="verbosity", action="count", default=0,
+        help="Add diagnostic notes on stderr.")
+    add("--cache-path", type=_file, metavar="FILE",
+        help="Intersection-table cache file (default: "
+             "$QGENUS_CACHE_DIR/intersection.json or "
+             "~/.cache/qgenus/intersection.json).")
+
+
+def _listing(group: str) -> str:
+    """The help text of the group options (``group`` empty) or of a command
+    group: its summary and the commands under it."""
+    rows = {}
+    for name, (summary, _, _) in COMMANDS.items():
+        first, _, sub = name.partition(" ")
+        if not group:
+            rows[first] = _GROUPS[first] if sub else summary
+        elif first == group:
+            rows[sub] = summary
+    width = max(map(len, rows))
+    return "\n".join([_GROUPS[group], "", "commands:"] + [
+        f"  {w:<{width}}  {text}" for w, text in rows.items()])
+
+
+class _Command(argparse.ArgumentParser):
+    """The parser of one command, or with ``listing`` of the group options
+    or a command group.  ``read`` takes argv as the documented grammar
+    does, where argparse alone would differ: an option that takes a value
+    takes the next word, whatever it is (``--z -3i``); before ``--`` no
+    other word that starts with '-' is a value (``witt ghost -3`` is
+    refused, not read as a negative number); and of an option given twice
+    only the last value is converted and checked."""
+
+    def __init__(self, prog: str, description: str | None, build=None,
+                 listing: bool = False):
+        super().__init__(
+            prog=prog, description=description, allow_abbrev=False,
+            usage="%(prog)s [OPTIONS] COMMAND [ARGS]..." if listing else None,
+            formatter_class=(argparse.RawDescriptionHelpFormatter if listing
+                             else argparse.HelpFormatter))
+        self.valued = set()  # option strings that take a value
+        self.checks = []     # (action, type, choices) applied after parsing
+        if build:
+            build(self.add)
+
+    def add(self, *names, type=None, choices=None, **kw):
+        action = self.add_argument(*names, **kw)
+        if action.nargs != 0:
+            self.valued.update(action.option_strings)
+        if type or choices:
+            self.checks.append((action, type, choices))
+
+    def read(self, words: list[str]) -> dict:
+        joined, rest = [], iter(words)
+        for word in rest:
+            if word == "--":
+                joined += [word, *rest]
+            elif word in self.valued:
+                value = next(rest, None)
+                joined.append(word if value is None else f"{word}={value}")
+            elif re.match(r"-[\d.]|-.* ", word):
+                raise UsageError(f"no such option: {word}")
+            else:
+                joined.append(word)
+        args = vars(self.parse_args(joined))
+        for action, type_, choices in self.checks:
+            value = args[action.dest]
+            if not isinstance(value, str):  # a default, converted already
+                continue
+            name = "/".join(action.option_strings)
+            try:
+                args[action.dest] = value = type_(value) if type_ else value
+            except (ValueError, argparse.ArgumentTypeError) as e:
+                raise UsageError(f"argument {name}: invalid value "
+                                 f"{value!r}: {e}") from None
+            if choices and value not in choices:
+                raise UsageError(f"argument {name}: invalid choice: {value!r} "
+                                 f"(choose from {', '.join(choices)})")
+        return args
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None):
+    """Run one command; raises SystemExit with its exit code (0 success,
+    1 a check failed, 2 usage error, 3 internal error)."""
+    words = list(sys.argv[1:] if args is None else args)
+    prog = prog_name or "qgenus"
+    parser = _Command(prog, _listing(""), _group_args, listing=True)
+    head = []  # the group options and their values
+    while words and words[0][:1] == "-" and words[0] not in ("-", "--"):
+        head.append(words.pop(0))
+        if words and (head[-1] in parser.valued
+                      or re.fullmatch(r"-v+f", head[-1])):
+            head.append(words.pop(0))  # "-f json", or "-vf json"
+    words = words[words[:1] == ["--"]:]
+    try:
+        obj = parser.read(head)
+        name = ""
+        while name not in COMMANDS:
+            if not words or words[0] in ("-h", "--help"):
+                parser.print_help(None if words else sys.stderr)
+                raise SystemExit(0 if words else 2)
+            name = f"{name} {words.pop(0)}".lstrip()
+            if name not in _GROUPS and name not in COMMANDS:
+                raise UsageError(f"no such command: {name!r}")
+            if name in _GROUPS:
+                parser = _Command(f"{prog} {name}", _listing(name),
+                                  listing=True)
+        _, build, run = COMMANDS[name]
+        parser = _Command(f"{prog} {name}", run.__doc__, build)
+        run(obj, **parser.read(words))
+    except (UsageError, DomainError, TruncationError, IncompatibleOperands,
+            OSError, OverflowError) as e:  # a file; a float past range
+        parser.error(str(e))
+    except Exception as e:  # anything else is a bug, not bad input
+        parser.exit(3, f"{parser.prog}: internal error: "
+                       f"{type(e).__name__}: {e}\n")
+    raise SystemExit(0)
 
 
 if __name__ == "__main__":

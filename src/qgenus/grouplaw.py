@@ -25,7 +25,6 @@ k >= (p+1)/2 (the double factorial (2k-1)!! then contains the factor p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Any
@@ -39,20 +38,21 @@ XY = ("X", "Y")
 XYZ = ("X", "Y", "Z")
 
 
-@dataclass(frozen=True)
 class GroupLaw:
     """A one-dimensional formal group law presented by its exponential."""
 
-    exponential: TruncatedSeries
-
-    def __post_init__(self):
-        e = self.exponential
+    def __init__(self, exponential: TruncatedSeries):
+        e = exponential
         if len(e.vars) != 1 or e.low < 0:
             raise DomainError("exponential must be a univariate power series")
         if e.coeffs.get((0,)):
             raise DomainError("exponential must vanish at 0")
         if not e.coeffs.get((1,)):
             raise DomainError("exponential needs a unit linear coefficient")
+        self.exponential = e
+
+    def __repr__(self):
+        return f"GroupLaw(exponential={self.exponential!r})"
 
     @property
     def order(self) -> int:

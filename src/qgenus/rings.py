@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Any, Callable, Iterable, Mapping
@@ -423,25 +422,29 @@ def exponent_bound(*bounds: int) -> int:
     return sum(bounds)
 
 
-@dataclass(frozen=True, eq=False)
 class Universe:
     """A named family of polynomial generators.
 
     ``fmt`` renders a generator key for display, ``weight`` gives its
     integer grading weight, ``is_invertible`` marks keys that may carry
     negative exponents, and ``nilpotency`` returns n when the key's n-th
-    power is 0 (None for generic generators).
+    power is 0 (None for generic generators).  ``slots`` is the name's
+    shared key-slot table.
     """
 
-    name: str
-    fmt: Callable[[Key], str]
-    weight: Callable[[Key], int]
-    is_invertible: Callable[[Key], bool] = field(default=lambda k: False)
-    nilpotency: Callable[[Key], int | None] = field(default=_never_nilpotent)
-    slots: dict[Key, int] = field(init=False, repr=False)
+    __slots__ = ("name", "fmt", "weight", "is_invertible", "nilpotency",
+                 "slots")
 
-    def __post_init__(self):
-        object.__setattr__(self, "slots", _SLOTS.setdefault(self.name, {}))
+    def __init__(self, name: str, fmt: Callable[[Key], str],
+                 weight: Callable[[Key], int],
+                 is_invertible: Callable[[Key], bool] = lambda k: False,
+                 nilpotency: Callable[[Key], int | None] = _never_nilpotent):
+        self.name = name
+        self.fmt = fmt
+        self.weight = weight
+        self.is_invertible = is_invertible
+        self.nilpotency = nilpotency
+        self.slots: dict[Key, int] = _SLOTS.setdefault(name, {})
 
     @property
     def has_nilpotents(self) -> bool:

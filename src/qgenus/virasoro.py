@@ -37,7 +37,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
@@ -49,17 +48,24 @@ from .rings import SparsePoly, Sqrt2, UX, dfact_odd, double_factorial
 MultiIndex = tuple[int, ...]  # counts (K_0, K_1, ...), trailing zeros stripped
 
 
-@dataclass(frozen=True)
 class FockPoly:
     """A polynomial in the x_k together with the weight through which its
     coefficients are exact."""
 
-    poly: SparsePoly
-    trusted: int
+    __slots__ = ("poly", "trusted")
 
-    def __post_init__(self):
-        if self.poly.universe != UX:
+    def __init__(self, poly: SparsePoly, trusted: int):
+        if poly.universe != UX:
             raise IncompatibleOperands("Fock elements live in the x-universe")
+        self.poly = poly
+        self.trusted = trusted
+
+    def __eq__(self, other):  # unhashable, as SparsePoly is
+        return (isinstance(other, FockPoly) and self.poly == other.poly
+                and self.trusted == other.trusted)
+
+    def __repr__(self):
+        return f"FockPoly(poly={self.poly!r}, trusted={self.trusted!r})"
 
     @classmethod
     def exact(cls, poly: SparsePoly, headroom: int = 0) -> "FockPoly":

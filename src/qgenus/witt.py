@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
@@ -99,18 +98,18 @@ __all__ = [
 # Witt vectors and ghost coordinates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class WittVector:
     """A series 1 + sum_{i>=1} h_i T^i trusted through its truncation order."""
 
-    series: TruncatedSeries
+    __slots__ = ("series",)
 
-    def __post_init__(self):
-        s = self.series
+    def __init__(self, series: TruncatedSeries):
+        s = series
         if s.vars != ("T",) or s.low != 0:
             raise DomainError("Witt vectors live in ordinary T-series")
         if s.coefficient(0) != 1:
             raise DomainError("constant term must be 1")
+        self.series = s
 
     @classmethod
     def from_coeffs(cls, coeffs: Mapping[int, Any] | Sequence[Any],
@@ -139,11 +138,16 @@ class WittVector:
         return f"WittVector({self.series!r})"
 
 
-@dataclass(frozen=True)
 class GhostVector:
     """Components g_1..g_N; addition of Witt vectors is componentwise here."""
 
-    components: tuple
+    __slots__ = ("components",)
+
+    def __init__(self, components: tuple):
+        self.components = components
+
+    def __repr__(self):
+        return f"GhostVector(components={self.components!r})"
 
     def __len__(self):
         return len(self.components)
@@ -479,7 +483,6 @@ def _unit_ratio(t, n: int) -> Callable[[int], Any]:
 # vertex operators on the tensor square
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class VertexOperator:
     """An operator as one series in the tensor weight g: the g^w
     coefficient is the weight-w part of sum_e table[e] z^e, a SparsePoly
@@ -491,8 +494,14 @@ class VertexOperator:
     truncation.
     """
 
-    series: TruncatedSeries
-    label: str = ""
+    __slots__ = ("series", "label")
+
+    def __init__(self, series: TruncatedSeries, label: str = ""):
+        self.series = series
+        self.label = label
+
+    def __repr__(self):
+        return f"VertexOperator(series={self.series!r}, label={self.label!r})"
 
     @property
     def weight_cap(self) -> int:
@@ -856,15 +865,14 @@ def _integer(x, what: str) -> int:
     return x
 
 
-@dataclass(frozen=True)
 class LatticeData:
     """A finite-rank free abelian group with an integer symmetric form."""
 
-    gram: tuple
+    __slots__ = ("gram",)
 
-    def __post_init__(self):
+    def __init__(self, gram: tuple):
         g = tuple(tuple(_integer(x, "Gram entry") for x in row)
-                  for row in self.gram)
+                  for row in gram)
         n = len(g)
         for row in g:
             if len(row) != n:
@@ -873,7 +881,10 @@ class LatticeData:
             for j in range(n):
                 if g[i][j] != g[j][i]:
                     raise DomainError("Gram matrix must be symmetric")
-        object.__setattr__(self, "gram", g)
+        self.gram = g
+
+    def __repr__(self):
+        return f"LatticeData(gram={self.gram!r})"
 
     @property
     def rank(self) -> int:
@@ -924,7 +935,6 @@ def lattice_universe(rank: int) -> Universe:
                     weight=weight)
 
 
-@dataclass(frozen=True)
 class LatticeFockElement:
     """Finite combination of (lattice point; power-sum polynomial) pairs.
 
@@ -932,20 +942,25 @@ class LatticeFockElement:
     monomial.
     """
 
-    lattice: LatticeData
-    components: Mapping[tuple, SparsePoly]
+    __slots__ = ("lattice", "components")
 
-    def __post_init__(self):
-        uni = lattice_universe(self.lattice.rank)
+    def __init__(self, lattice: LatticeData,
+                 components: Mapping[tuple, SparsePoly]):
+        uni = lattice_universe(lattice.rank)
         comps = {}
-        for pt, poly in self.components.items():
-            key = self.lattice.check_vector(pt)
+        for pt, poly in components.items():
+            key = lattice.check_vector(pt)
             if poly.universe != uni:
                 raise IncompatibleOperands(
                     "component polynomial in the wrong universe")
             if poly:
                 comps[key] = poly
-        object.__setattr__(self, "components", comps)
+        self.lattice = lattice
+        self.components = comps
+
+    def __repr__(self):
+        return (f"LatticeFockElement(lattice={self.lattice!r}, "
+                f"components={self.components!r})")
 
     def grades(self) -> set[int]:
         out = set()

@@ -487,7 +487,9 @@ _SRC = Path(analytic.__file__).resolve().parents[1]
 
 # Before the lane refused non-finite input, the first two of these never
 # returned, the next two raised TruncationError after 200,000 terms, the
-# tails answered NaN with a NaN error, and the inverse answered 32.0.
+# tails answered NaN with a NaN error, and the inverse answered 32.0.  The
+# inverse at y = 1e-170 and 1e-200 raised ZeroDivisionError (eps' underflowed
+# to 0.0), and at 1e-310 it never returned (0.4/y is inf).
 _NON_FINITE = [
     "sin_half(nan)",
     "ml_exp(1/2, complex(0, nan))",
@@ -502,6 +504,9 @@ _NON_FINITE = [
     "ml_asymptotic(1/2, complex(0, inf))",
     "ml_asymptotic(1/2, -inf)",
     "epsilon_inverse(0.5, tol=nan)",
+    "epsilon_inverse(1e-170)",
+    "epsilon_inverse(1e-200)",
+    "epsilon_inverse(1e-310)",
 ]
 
 

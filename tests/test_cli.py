@@ -17,23 +17,20 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from qgenus.cli import (ExprError, _Parser, _square_free, cli, parse_p_expr,
-                        parse_q_expr)
+from clirun import invoke
+from qgenus.cli import (ExprError, UsageError, _Parser, _square_free, main,
+                        parse_p_expr, parse_q_expr)
 from qgenus.qfunctions import QElement
 from qgenus.rings import SparsePoly, UPS
 from qgenus.series import TruncatedSeries
 from qgenus.virasoro import IntersectionTable
 
-runner = CliRunner()
-
 
 def run(*args, **kw):
-    return runner.invoke(cli, list(args), **kw)
+    return invoke(args, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -737,11 +734,42 @@ class TestExitCodes:
         r = run(*argv)
         assert r.exit_code == 2 and msg in r.stderr
 
-    def test_usage_error_is_two(self):
+    @staticmethod
+    def _main_exit(*argv):
+        """The SystemExit code of ``main`` called as the traced benchmark
+        child calls it."""
+        with pytest.raises(SystemExit) as e:
+            main(args=list(argv), prog_name="qgenus")
+        return e.value.code
+
+    def test_usage_error_is_two(self, capsys, tmp_path):
         assert run("qreduce").exit_code == 2          # missing argument
         assert run("nonsense").exit_code == 2          # unknown subcommand
+        assert run().exit_code == 2                    # no command at all
+        assert run("witt").exit_code == 2              # a group alone
+        assert run("intersection", "--max-w", "3").exit_code == 2  # no prefixes
+        # a word that starts with '-' is an option, never a value
+        assert run("witt", "ghost", "-3").exit_code == 2
+        assert run("qreduce", "- q1").exit_code == 2
+        assert self._main_exit("qreduce", "q1^") == 2
+        assert self._main_exit("qreduce", "q1^2") == 0
+        assert self._main_exit("--help") == 0
+        assert self._main_exit("voa", "y-check", "--help") == 0
+        capsys.readouterr()
+        # an option's value may start with '-'
+        r = run("-f", "json", "ml", "--alpha", "1/2", "--z", "-3i")
+        assert r.exit_code == 0 and json.loads(r.stdout)["z"] == "-3j"
+        from qgenus.witt import vertex_Y_powersum, vertex_table_obj
+        r = run("-f", "json", "voa", "table", "--n", "2", "--t", "-1/2")
+        assert r.exit_code == 0 and json.loads(r.stdout) == vertex_table_obj(
+            vertex_Y_powersum(2, Fraction(-1, 2), weight_cap=6))
+        gram = tmp_path / "gram.json"
+        gram.write_text("[[2, 1], [1, 2]]")
+        r = run("voa", "lattice", "--gram", str(gram), "--point", "-1,0")
+        assert r.exit_code == 0
+        assert r.stdout.startswith("point: -1,0\ngrading audit: clean\n")
 
-    def test_internal_error_is_three(self, monkeypatch):
+    def test_internal_error_is_three(self, monkeypatch, capsys):
         import qgenus.witt  # the command imports ghost from here when it runs
 
         def boom(*a, **k):
@@ -751,9 +779,13 @@ class TestExitCodes:
         r = run("witt", "ghost", "1")
         assert r.exit_code == 3
         assert "internal error" in r.stderr
+        assert self._main_exit("witt", "ghost", "1") == 3
+        assert "internal error" in capsys.readouterr().err
 
-    def test_check_failure_is_one(self):
+    def test_check_failure_is_one(self, capsys):
         assert run("witt", "qcheck", "1,1").exit_code == 1
+        assert self._main_exit("witt", "qcheck", "1,1") == 1
+        assert self._main_exit("witt", "qcheck", "2,2") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -927,10 +959,10 @@ def test_x_side_parse_is_the_image_of_the_q_side(src):
     one side refuses, the other refuses with the same message."""
     try:
         want = repr(parse_q_expr(src).to_x())
-    except click.UsageError as e:
-        with pytest.raises(click.UsageError) as err:
+    except UsageError as e:
+        with pytest.raises(UsageError) as err:
             parse_q_expr(src, in_x=True)
-        assert err.value.message == e.message
+        assert str(err.value) == str(e)
     else:
         assert repr(parse_q_expr(src, in_x=True)) == want
 
@@ -1309,15 +1341,20 @@ def test_cap_ladder(argv, budget, digest, rss_mb, exit_code, tmp_path):
          "voa-y-check", "voa-lattice"])
 def test_each_command_loads_only_its_layers(argv, layers, tmp_path):
     """A fresh ``-m qgenus.cli`` child, with ``-X importtime`` listing
-    every module it imports."""
+    every module it imports: the qgenus layers the command runs and none of
+    the modules that only slowed start-up."""
     p = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "qgenus.cli",
          *_ladder_argv(argv, tmp_path)],
         capture_output=True, text=True, env=_ladder_env(tmp_path), timeout=60)
     assert p.returncode == 0, p.stderr[-500:]
-    loaded = set(re.findall(r"\| +(qgenus\S*)$", p.stderr, flags=re.M))
+    imported = set(re.findall(r"\| +(\S+)$", p.stderr, flags=re.M))
+    loaded = {m for m in imported if m.split(".")[0] == "qgenus"}
     assert loaded == {"qgenus", "qgenus.errors"} | {f"qgenus.{m}"
                                                     for m in layers}
+    # start-up cost no command needs: click (16-20 ms), dataclasses and the
+    # inspect module it loads (10 ms)
+    assert imported.isdisjoint({"click", "dataclasses", "inspect"}), argv
 
 
 # ---------------------------------------------------------------------------
@@ -1364,7 +1401,7 @@ def test_readme_has_examples():
 @pytest.mark.parametrize("argv,expected", _console_examples() or
                          [pytest.param(None, None, marks=pytest.mark.skip)])
 def test_readme_examples_run_verbatim(argv, expected, tmp_path):
-    r = runner.invoke(cli, argv, env={"QGENUS_CACHE_DIR": str(tmp_path)})
+    r = run(*argv, env={"QGENUS_CACHE_DIR": str(tmp_path)})
     assert r.exit_code == 0, r.stderr or r.stdout
     assert r.stdout.rstrip("\n") == expected.rstrip("\n")
 
@@ -1380,17 +1417,17 @@ _LONG_RUNGS = {"kw-cpn-12", "y-check-ceiling", "y-check-ceiling-json",
                "y-check-six-sum", "y-check-six-sum-json",
                "epsilon-table-10000", "epsilon-table-10000-json"}
 
-# runs a JSON list of argv in one process through CliRunner, twice (the
-# second pass in reverse, so that each command follows all the others),
-# and prints [exit code, sha256 of stdout] per invocation
+# runs a JSON list of argv in one process through tests/clirun.py, twice
+# (the second pass in reverse, so that each command follows all the
+# others), and prints [exit code, sha256 of stdout] per invocation
 _SEQUENCE = """
 import hashlib, json, sys
-from click.testing import CliRunner
-from qgenus.cli import cli
-argvs, runner, out = json.load(sys.stdin), CliRunner(), []
+sys.path.insert(0, sys.argv[1])
+from clirun import invoke
+argvs, out = json.load(sys.stdin), []
 for argv in argvs + argvs[::-1]:
-    r = runner.invoke(cli, argv)
-    out.append([r.exit_code, hashlib.sha256(r.stdout_bytes).hexdigest()])
+    r = invoke(argv)
+    out.append([r.exit_code, hashlib.sha256(r.stdout.encode()).hexdigest()])
 json.dump(out, sys.stdout)
 """
 
@@ -1412,9 +1449,9 @@ def test_stdout_does_not_depend_on_what_ran_before(tmp_path):
         if rung.id not in _LONG_RUNGS:
             fresh.append((_ladder_argv(argv, tmp_path), exit_code, digest))
     argvs = [argv for argv, _, _ in fresh]
-    p = subprocess.run([sys.executable, "-c", _SEQUENCE],
-                       input=json.dumps(argvs), capture_output=True,
-                       text=True, env=env, timeout=300)
+    p = subprocess.run([sys.executable, "-c", _SEQUENCE,
+                        str(Path(__file__).parent)], input=json.dumps(argvs),
+                       capture_output=True, text=True, env=env, timeout=300)
     assert p.returncode == 0, p.stderr
     got = json.loads(p.stdout)
     want = [[code, digest] for _, code, digest in fresh]

@@ -5,9 +5,9 @@ Static scans with the standard ``ast`` module.  A name bound by an import
 counts as used when it is read anywhere in the module, appears in a string
 annotation, or is listed in ``__all__`` (the package's re-exports).  A
 module-level function or class, or a method other than a dunder, counts
-as used when the package reads its name outside its own definition, when
-a click decorator registers it, or when ``perfbench/`` or README.md names
-it; re-exports alone do not count.
+as used when the package reads its name outside its own definition (the
+CLI's command table reads each command's functions), or when
+``perfbench/`` or README.md names it; re-exports alone do not count.
 
 ``import qgenus`` itself imports no module: each export loads on first use.
 """
@@ -48,7 +48,6 @@ KEEP = {
                             "operators (ROADMAP aim 2)",
     "__init__.__getattr__": "the PEP 562 hook: Python calls it for a "
                             "package attribute not yet imported",
-    "cli._Cli.invoke": "overrides click.Group.invoke, which click calls",
 }
 
 
@@ -97,18 +96,11 @@ def _names_read(node: ast.AST) -> set[str]:
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def _registered(node: ast.AST) -> bool:
-    """A click command or group: its decorator is what calls it."""
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-               and d.func.attr in ("command", "group")
-               for d in node.decorator_list)
-
-
 def _unreferenced(modules: dict[str, str], elsewhere: str) -> list[str]:
     """``module.name`` of every module-level function and class, and
     ``module.Class.name`` of every method other than a dunder, in
-    ``modules`` (name -> source) that no other part of the package reads,
-    no click decorator registers and ``elsewhere`` (text) does not name.
+    ``modules`` (name -> source) that no other part of the package reads
+    and ``elsewhere`` (text) does not name.
     The parts are the top-level statements, with each class split into its
     methods and the rest of its body."""
     trees = {name: ast.parse(src) for name, src in modules.items()}
@@ -131,7 +123,7 @@ def _unreferenced(modules: dict[str, str], elsewhere: str) -> list[str]:
     def unused(node) -> bool:
         return not (any(node.name in names for owners, names in parts
                         if node not in owners)
-                    or _registered(node) or node.name in words)
+                    or node.name in words)
 
     out = []
     for module, tree in trees.items():
@@ -160,19 +152,20 @@ def test_every_definition_is_used_outside_the_tests():
 
 def test_the_scan_sees_an_unused_function():
     modules = {
-        "m": ("import click\n"
-              "def used():\n    return 1\n"
+        "m": ("def used():\n    return 1\n"
               "def unused(n):\n    return unused(n - 1) if n else used\n"
               "class C:\n    def make(self):\n        return C()\n"
               "    def helper(self):\n        return self.inner()\n"
               "    def inner(self):\n        return self.inner\n"
               "    def __len__(self):\n        return 0\n"
-              "@click.command()\ndef cmd():\n    pass\n"
+              "def cmd():\n    pass\n"
+              "def dropped():\n    pass\n"
+              "COMMANDS = {'cmd': ('summary', cmd)}\n"
               "X = used()\n"),
         "n": "from .m import C\ndef f(c: C):\n    return c.make()\n",
     }
     assert _unreferenced(modules, "f is named in the README") == [
-        "m.C.helper", "m.unused"]
+        "m.C.helper", "m.dropped", "m.unused"]
 
 
 def test_importing_the_package_loads_no_module():

@@ -5,11 +5,10 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
+from clirun import invoke
 from qgenus import qfunctions
-from qgenus.cli import cli
 from qgenus.errors import DomainError
 from qgenus.qfunctions import (QElement, QTensor, antipode, classical_q,
                                coproduct, counit, eigen_universe, inner,
@@ -153,7 +152,7 @@ KW_CPN10_JSON_SHA256 = (
 
 
 def test_kw_cpn_ten_output_is_frozen():
-    r = CliRunner().invoke(cli, ["-f", "json", "kw", "--cpn", "10"])
+    r = invoke(["-f", "json", "kw", "--cpn", "10"])
     assert r.exit_code == 0, r.stderr
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == KW_CPN10_JSON_SHA256
 
